@@ -35,6 +35,10 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "backlog_device_service_ns",
     "backlog_device_lock_wait_ns",
     "backlog_journal_pending_entries",
+    "backlog_manifest_base_pages_total",
+    "backlog_manifest_delta_pages_total",
+    "backlog_manifest_rollovers_total",
+    "backlog_manifest_log_pages",
     "backlog_callback_ns",
     "backlog_cp_flush_ns",
     "backlog_cp_phase_prepare_ns",

@@ -3,9 +3,9 @@
 //!
 //! Setup: a durable partitioned engine on a [`SimDisk`] with uniform per-page
 //! latency. The reference workload is loaded with latency emulation off; the
-//! consistency point — three tables' per-partition run builds, the CP
-//! manifest, the superblock flip — is timed with emulation *on*, so every
-//! page write's modeled service time is real wall-clock time.
+//! consistency point — three tables' per-partition run builds, the
+//! manifest-log frame, the superblock flip — is timed with emulation *on*,
+//! so every page write's modeled service time is real wall-clock time.
 //!
 //! This is the regime the async submit/completion device API targets: the CP
 //! pipelines all of its writes through one in-flight queue and drains them
@@ -60,6 +60,9 @@ struct Config {
 struct Measurement {
     cp_wall_ns: u64,
     cp_pages_written: u64,
+    /// Of those, pages of manifest-log frames (delta frames here: each
+    /// engine's base is written at creation).
+    cp_manifest_pages: u64,
     max_in_flight: u64,
     completed_async_ops: u64,
     from_table: Vec<backlog::FromRecord>,
@@ -105,6 +108,7 @@ fn run(cfg: &Config, depth: usize, threads: usize, agg: &PhaseAgg) -> Measuremen
     .expect("durable create");
     let mut cp_wall_ns = 0u64;
     let mut cp_pages = 0u64;
+    let mut cp_manifest_pages = 0u64;
     for round in 0..cfg.rounds {
         let mut batch = WriteBatch::with_capacity(256);
         for i in 0..cfg.ops_per_round {
@@ -124,6 +128,7 @@ fn run(cfg: &Config, depth: usize, threads: usize, agg: &PhaseAgg) -> Measuremen
         cp_wall_ns += t.elapsed().as_nanos() as u64;
         disk.set_latency_emulation(false);
         cp_pages += report.pages_written;
+        cp_manifest_pages += report.manifest_pages;
     }
     let snap = disk.stats().snapshot();
     // Guard against the CP silently falling back to the sync submit-then-wait
@@ -145,6 +150,7 @@ fn run(cfg: &Config, depth: usize, threads: usize, agg: &PhaseAgg) -> Measuremen
     Measurement {
         cp_wall_ns,
         cp_pages_written: cp_pages,
+        cp_manifest_pages,
         max_in_flight: snap.max_in_flight,
         completed_async_ops: snap.completed_async_ops,
         from_table: engine.from_table().scan_disk().expect("scan failed"),
@@ -207,6 +213,10 @@ fn main() {
             report
                 .metrics
                 .counter(format!("{key}_pages_written"), m.cp_pages_written);
+            report.metrics.gauge(
+                format!("{key}_manifest_pages_per_cp"),
+                m.cp_manifest_pages as f64 / cfg.rounds as f64,
+            );
             report.metrics.gauge(
                 format!("{key}_speedup_vs_d1"),
                 depth1_ns as f64 / m.cp_wall_ns as f64,

@@ -1,19 +1,30 @@
-//! Measures crash-recovery reopen cost as the database grows, emitting JSON
-//! (captured in `BENCH_recovery.json` at the repo root).
+//! Measures crash-recovery reopen cost as the database grows and as the
+//! manifest log fills, emitting JSON (captured in `BENCH_recovery.json` at
+//! the repo root).
 //!
 //! Setup: a durable engine on a [`SimDisk`] ingests `records` references in
 //! CP-sized batches (with one maintenance pass partway through, so the run
-//! layout is realistic: merged runs plus Level-0 tails), then the engine is
-//! dropped and [`BacklogEngine::open`] rebuilds it from raw device contents.
-//! The interesting property is the *shape* of the reopen cost: recovery
-//! reads the superblock and the CP manifest — run geometry, Bloom filter
-//! bits and extent maps — but never a single run page, so reopen wall-clock
-//! scales with the manifest size (runs × Bloom bytes), not with the record
-//! count. The JSON reports both so the relationship is visible.
+//! layout is realistic: merged runs plus Level-0 tails). The engine is then
+//! brought to three positions in its manifest log, and at each one dropped
+//! and rebuilt by [`BacklogEngine::open`] from raw device contents:
 //!
-//! Each configuration also sanity-checks the reopened engine against the
-//! original (table stats and a spot query), making the bench a cheap
-//! end-to-end recovery smoke test for CI.
+//! * `fresh` — the log holds just a base frame (what every open read before
+//!   the log existed: the full manifest);
+//! * `mid` — deltas fill half of the room the reservation leaves them;
+//! * `full` — the worst case: the reservation is full, the next CP would
+//!   roll over. The log is at most twice its base, so this open reads at
+//!   most about twice the pages of `base`.
+//!
+//! The interesting property is the *shape* of the reopen cost: recovery
+//! reads the superblock and the log's valid prefix — run geometry, Bloom
+//! filter bits and extent maps — but never a single run page, so reopen
+//! wall-clock scales with the log (runs × Bloom bytes, plus the deltas),
+//! not with the record count. The JSON reports base pages, delta frames and
+//! delta pages per position so the relationship is visible.
+//!
+//! Every reopen is checked against the engine it replaces (run count, table
+//! stats and a spot query), making the bench a cheap end-to-end recovery
+//! smoke test for CI at all three chain positions.
 //!
 //! Run with `cargo run --release --bin bench_recovery`; pass `--smoke` for
 //! the tiny CI configuration.
@@ -21,7 +32,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use backlog::{BacklogConfig, BacklogEngine, LineId, Owner};
+use backlog::{BacklogConfig, BacklogEngine, LineId, ManifestKind, Owner};
 use blockdev::{Device, DeviceConfig, SimDisk};
 use obs::{validate_bench_report, BenchReport};
 
@@ -83,48 +94,112 @@ fn main() {
         let config = BacklogConfig::partitioned(cfg.partitions, records).without_timing();
         let engine = build_database(device.clone(), &cfg, records);
         let db_bytes = engine.database_disk_bytes();
-        let run_count = engine.run_count();
-        let want_stats = engine.table_stats();
-        let spot_block = records / 3;
-        let want_owners = engine.live_owners(spot_block).expect("query failed");
-        drop(engine);
-
-        // Reopen repeatedly; report the best wall-clock (the stable floor —
-        // first iterations pay allocator warm-up) and the pages recovery
-        // actually read.
-        let mut best_ns = u64::MAX;
-        let mut manifest_pages_read = 0u64;
-        for _ in 0..cfg.opens {
-            let reads_before = device.stats().snapshot().page_reads;
-            let start = Instant::now();
-            let reopened =
-                BacklogEngine::open(device.clone(), config.clone()).expect("open failed");
-            let elapsed = start.elapsed().as_nanos() as u64;
-            manifest_pages_read = device.stats().snapshot().page_reads - reads_before;
-            best_ns = best_ns.min(elapsed);
-            // Recovery must be exact, every iteration.
-            assert_eq!(reopened.run_count(), run_count, "run count diverged");
-            assert_eq!(reopened.table_stats(), want_stats, "table stats diverged");
-            assert_eq!(
-                reopened.live_owners(spot_block).expect("query failed"),
-                want_owners,
-                "spot query diverged"
-            );
-        }
         let key = format!("recovery_{records}r_{}p", cfg.partitions);
         out.metrics.counter(format!("{key}_records"), records);
         out.metrics.counter(format!("{key}_db_bytes"), db_bytes);
         out.metrics
-            .counter(format!("{key}_runs"), u64::from(run_count));
-        out.metrics
-            .counter(format!("{key}_manifest_pages_read"), manifest_pages_read);
-        out.metrics.counter(format!("{key}_open_wall_ns"), best_ns);
-        out.metrics
-            .gauge(format!("{key}_open_ms"), best_ns as f64 / 1e6);
-        out.metrics.gauge(
-            format!("{key}_records_per_open_sec"),
-            records as f64 * 1e9 / best_ns as f64,
-        );
+            .counter(format!("{key}_runs"), u64::from(engine.run_count()));
+        drop(engine);
+
+        // A reopened engine's first CP starts a new log with a base frame;
+        // one-record CPs then append one-page deltas until the position's
+        // share of the reservation is used.
+        let mut engine = BacklogEngine::open(device.clone(), config.clone()).expect("open failed");
+        let mut next_block = records;
+        let mut tiny_cp = |engine: &BacklogEngine| {
+            engine.add_reference(
+                next_block % records,
+                Owner::block(97, next_block, LineId::ROOT),
+            );
+            next_block += 1;
+            engine.consistency_point().expect("CP failed")
+        };
+        let base = tiny_cp(&engine);
+        assert_eq!(base.manifest_kind, Some(ManifestKind::Base));
+        for position in ["fresh", "mid", "full"] {
+            loop {
+                let log = engine.manifest_log();
+                let room = log.reserved_pages - log.base_pages;
+                let want = match position {
+                    "fresh" => 0,
+                    "mid" => room / 2,
+                    _ => room,
+                };
+                if log.delta_pages >= want {
+                    break;
+                }
+                let report = tiny_cp(&engine);
+                assert_eq!(
+                    report.manifest_kind,
+                    Some(ManifestKind::Delta),
+                    "one-page deltas fill the reservation exactly"
+                );
+            }
+            let log = engine.manifest_log();
+            let run_count = engine.run_count();
+            let want_stats = engine.table_stats();
+            let spot_block = records / 3;
+            let want_owners = engine.live_owners(spot_block).expect("query failed");
+            drop(engine);
+
+            // Reopen repeatedly; report the best wall-clock (the stable
+            // floor — first iterations pay allocator warm-up) and the pages
+            // recovery actually read.
+            let mut best_ns = u64::MAX;
+            let mut pages_read = 0u64;
+            let mut reopened = None;
+            for _ in 0..cfg.opens {
+                let reads_before = device.stats().snapshot().page_reads;
+                let start = Instant::now();
+                let fresh =
+                    BacklogEngine::open(device.clone(), config.clone()).expect("open failed");
+                let elapsed = start.elapsed().as_nanos() as u64;
+                pages_read = device.stats().snapshot().page_reads - reads_before;
+                best_ns = best_ns.min(elapsed);
+                // Recovery must be exact, every iteration, wherever in its
+                // log the CP sits.
+                assert_eq!(fresh.run_count(), run_count, "{position}: run count");
+                assert_eq!(fresh.table_stats(), want_stats, "{position}: table stats");
+                assert_eq!(
+                    fresh.live_owners(spot_block).expect("query failed"),
+                    want_owners,
+                    "{position}: spot query"
+                );
+                let read = fresh.manifest_log();
+                assert_eq!(
+                    (read.base_pages, read.delta_frames, read.delta_pages),
+                    (log.base_pages, log.delta_frames, log.delta_pages),
+                    "{position}: open decoded the log the engine wrote"
+                );
+                reopened = Some(fresh);
+            }
+            // The superblock pair, the log's valid prefix, nothing else.
+            assert!(
+                pages_read <= log.log_pages() + 2,
+                "{position}: {pages_read}"
+            );
+            assert!(log.log_pages() <= 2 * log.base_pages.max(4));
+            let key = format!("{key}_{position}");
+            out.metrics
+                .counter(format!("{key}_base_pages"), log.base_pages);
+            out.metrics
+                .counter(format!("{key}_delta_frames"), log.delta_frames);
+            out.metrics
+                .counter(format!("{key}_delta_pages"), log.delta_pages);
+            out.metrics
+                .counter(format!("{key}_runs"), u64::from(run_count));
+            out.metrics.counter(format!("{key}_open_wall_ns"), best_ns);
+            out.metrics
+                .gauge(format!("{key}_open_ms"), best_ns as f64 / 1e6);
+            // Carry on from the reopened engine. Its own first CP would be
+            // a base again, so the chain is re-grown from the log it read:
+            // the next position needs more deltas than this one had.
+            engine = reopened.expect("at least one open");
+            if position != "full" {
+                let report = tiny_cp(&engine);
+                assert_eq!(report.manifest_kind, Some(ManifestKind::Base));
+            }
+        }
     }
 
     let json = out.to_json();

@@ -41,6 +41,15 @@ fn main() {
         std::process::exit(1);
     }
 
+    // The matrix is only a recovery gate for the manifest log if CPs die
+    // at both of its chain positions.
+    assert!(
+        report.mid_delta_cp_crashes() > 0 && report.mid_base_cp_crashes() > 0,
+        "the matrix must crash CPs writing delta frames ({}) and base frames ({})",
+        report.mid_delta_cp_crashes(),
+        report.mid_base_cp_crashes()
+    );
+
     // Fingerprint of every scenario's trace-event stream: events are
     // stamped by the deterministic tick clock, so this value is a pure
     // function of the seed list — any cross-run difference means the
@@ -59,6 +68,10 @@ fn main() {
     out.metrics.counter("steps", report.total_steps());
     out.metrics
         .counter("mid_cp_crashes", report.mid_cp_crashes() as u64);
+    out.metrics
+        .counter("mid_delta_cp_crashes", report.mid_delta_cp_crashes() as u64);
+    out.metrics
+        .counter("mid_base_cp_crashes", report.mid_base_cp_crashes() as u64);
     out.metrics
         .counter("mid_commit_crashes", report.mid_commit_crashes() as u64);
     out.metrics.counter("torn_pages", report.torn_pages());

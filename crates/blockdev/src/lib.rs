@@ -73,7 +73,7 @@ pub use stats::{IoStats, IoStatsSnapshot};
 pub use superblock::{
     fnv1a64, Superblock, FIRST_DATA_PAGE, MAX_MANIFEST_EXTENTS, SUPERBLOCK_PAGES,
 };
-pub use vfile::{FileId, FileMap, FileStore, PersistedFile, VFile};
+pub use vfile::{FileId, FileMap, FileStore, PersistedFile, ReservedExtent, VFile};
 
 /// Size of a device page in bytes (the paper's 4 KB block size).
 pub const PAGE_SIZE: usize = 4096;

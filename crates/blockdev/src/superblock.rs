@@ -2,9 +2,11 @@
 //! back-reference database.
 //!
 //! Everything else the database writes is *write-anywhere* — run files and
-//! the consistency-point manifest live wherever the [`FileStore`] allocated
-//! them, and a consistency point never overwrites a page that the previous
-//! consistency point can still reach. The superblock is the one exception: a
+//! the manifest log live wherever the [`FileStore`] allocated them, and a
+//! consistency point never overwrites a page that the previous consistency
+//! point can still reach (inside the log's extent that means: a frame is
+//! only ever written past the valid prefix the previous superblock
+//! recorded). The superblock is the one exception: a
 //! fixed pair of device pages ([`SUPERBLOCK_PAGES`]) written in *ping-pong*
 //! fashion (generation `g` goes to page `g % 2`), so the previous
 //! generation's superblock is intact until the new one is fully on the
@@ -14,13 +16,16 @@
 //! completed.
 //!
 //! The superblock carries just enough to bootstrap recovery without any
-//! other metadata: a pointer to the manifest (its virtual-file id, byte
-//! length and raw device extents — raw, because the extent map that would
-//! normally resolve the file lives *inside* the manifest) and the file
-//! store's allocation cursor. The recovery invariant the ping-pong scheme
-//! enforces: **the superblock never points at a manifest that is not fully
-//! on disk** — the manifest's pages are written first, the superblock flip
-//! is the last write of the consistency point.
+//! other metadata: a pointer to the manifest log (its virtual-file id, the
+//! raw device extent reserved for it — raw, because the extent map that
+//! would normally resolve the file lives *inside* the log — and the byte
+//! length of the log's *valid prefix*, which ends with the frame this
+//! consistency point appended) and the file store's allocation cursor. The
+//! recovery invariant the ping-pong scheme enforces: **the superblock never
+//! covers a frame that is not fully on disk** — a frame's pages are written
+//! and made stable first, the superblock flip is the last write of the
+//! consistency point, and whatever a dead consistency point left past the
+//! recorded prefix is never read.
 //!
 //! [`FileStore`]: crate::FileStore
 
@@ -46,10 +51,11 @@ const VERSION: u32 = 2;
 /// journal_start(8) + journal_pages(8) + journal_tail_page(8) +
 /// journal_tail_seq(8) + extent_count(4).
 const HEADER_LEN: usize = 8 + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
-/// How many manifest extents fit in one superblock page.
+/// How many manifest extents fit in one superblock page. (The engine's
+/// manifest log is always exactly one.)
 pub const MAX_MANIFEST_EXTENTS: usize = (PAGE_SIZE - HEADER_LEN) / 16;
 
-/// FNV-1a 64-bit checksum, used by the superblock and by the CP manifest to
+/// FNV-1a 64-bit checksum, used by the superblock and by the manifest log to
 /// detect torn or corrupt metadata after a crash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
@@ -77,19 +83,22 @@ pub struct Superblock {
     /// Monotonically increasing consistency-point generation (the first
     /// durable CP writes generation 1).
     pub generation: u64,
-    /// The manifest's virtual-file id inside the file store, re-registered on
-    /// restore so its pages are not reallocated until the next CP retires it.
+    /// The manifest log's virtual-file id inside the file store,
+    /// re-registered on restore so the log's pages are not reallocated until
+    /// a later CP retires it.
     pub manifest_file: u64,
-    /// Length of the manifest in bytes (the last manifest page may be
-    /// partially filled).
+    /// Length in bytes of the manifest log's *valid prefix*: the base frame
+    /// and every delta frame up to and including the one this CP appended
+    /// (the last page may be partially filled). Recovery reads
+    /// `ceil(manifest_len_bytes / PAGE_SIZE)` pages of the extent and
+    /// nothing beyond them.
     pub manifest_len_bytes: u64,
     /// The file store's next-file cursor as of this CP (taken after the
-    /// manifest file was created, so it is past every file the manifest
-    /// references).
+    /// log's reservation, so it is past every file the log references).
     pub next_file: u64,
     /// The file store's bump-allocation cursor as of this CP (taken after
-    /// the manifest pages were written, so every referenced extent lies
-    /// below it).
+    /// the log's reservation and the CP's run writes, so every referenced
+    /// extent lies below it).
     pub next_page: PageNo,
     /// Virtual-file id of the on-device journal ring, re-registered on
     /// restore so its pages are never reallocated. Meaningful only when
@@ -106,7 +115,10 @@ pub struct Superblock {
     /// Sequence number the group at `journal_tail_page` must carry; the scan
     /// stops at the first group that breaks the contiguous sequence chain.
     pub journal_tail_seq: u64,
-    /// Raw device extents of the manifest file, in file order.
+    /// Raw device extents reserved for the manifest log, in file order —
+    /// the whole reservation, not just the valid prefix. The engine always
+    /// records exactly one (the log is one contiguous extent) and rejects
+    /// anything else on open.
     pub manifest_extents: Vec<(PageNo, u64)>,
 }
 
@@ -117,8 +129,8 @@ impl Superblock {
     ///
     /// Returns [`DeviceError::SuperblockOverflow`] if the manifest is spread
     /// over more extents than fit in a page. Unreachable when the manifest
-    /// is written through
-    /// [`FileStore::create_reserved`](crate::FileStore::create_reserved)
+    /// log is reserved through
+    /// [`FileStore::reserve_extent`](crate::FileStore::reserve_extent)
     /// (one contiguous extent by construction); the check is defensive.
     pub fn encode(&self) -> Result<Vec<u8>> {
         if self.manifest_extents.len() > MAX_MANIFEST_EXTENTS {

@@ -164,8 +164,9 @@ impl FileStore {
     /// never stitched together from free-list fragments. Appends beyond the
     /// reservation fall back to normal allocation.
     ///
-    /// The CP manifest is written through this: its extents must fit in the
-    /// superblock page, and a single extent always does, no matter how
+    /// The manifest log is reserved through this (via
+    /// [`reserve_extent`](Self::reserve_extent)): its extent list must fit in
+    /// the superblock page, and a single extent always does, no matter how
     /// fragmented the free list has become.
     ///
     /// # Errors
@@ -173,22 +174,52 @@ impl FileStore {
     /// Returns [`DeviceError::OutOfSpace`] if the device cannot provide
     /// `pages` contiguous fresh pages (and no free extent is big enough).
     pub fn create_reserved(&self, pages: u64) -> Result<VFile<'_>> {
+        let (id, _) = self.reserve(pages)?;
+        Ok(VFile { store: self, id })
+    }
+
+    /// Sets aside `pages` contiguous device pages (one extent, as
+    /// [`create_reserved`](Self::create_reserved)) for a caller that writes
+    /// them itself, by offset, through the returned [`ReservedExtent`] — the
+    /// journal ring and the manifest log. The registered file is never
+    /// appended to; it only keeps the pages out of the allocator until
+    /// [`delete`](Self::delete) returns them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`create_reserved`](Self::create_reserved).
+    pub fn reserve_extent(&self, pages: u64) -> Result<ReservedExtent> {
+        let (file, start) = self.reserve(pages)?;
+        Ok(ReservedExtent { file, start, pages })
+    }
+
+    /// Registers a new file over one contiguous `pages`-page extent and
+    /// returns its id and first device page.
+    fn reserve(&self, pages: u64) -> Result<(FileId, PageNo)> {
         let mut st = self.lock_state();
-        // Best-fit single free extent, if any.
-        let reserved = match st
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, &(_, len))| len >= pages)
-            .min_by_key(|(_, &(_, len))| len)
-            .map(|(i, _)| i)
-        {
+        // Best-fit single free extent, if any. Page-at-a-time allocations
+        // nibble freed reservations into fragments, so a miss first merges
+        // adjacent free extents back together and looks again — without
+        // that, every reservation after the first few would take fresh
+        // pages and the device footprint would grow forever.
+        let best_fit = |free: &[(PageNo, u64)]| {
+            free.iter()
+                .enumerate()
+                .filter(|(_, &(_, len))| len >= pages)
+                .min_by_key(|(_, &(_, len))| len)
+                .map(|(i, _)| i)
+        };
+        let fit = best_fit(&st.free).or_else(|| {
+            coalesce(&mut st.free);
+            best_fit(&st.free)
+        });
+        let start = match fit {
             Some(i) => {
                 let (start, len) = st.free.swap_remove(i);
                 if len > pages {
                     st.free.push((start + pages, len - pages));
                 }
-                (start, pages)
+                start
             }
             None => {
                 let start = st.next_page;
@@ -196,7 +227,7 @@ impl FileStore {
                     return Err(DeviceError::OutOfSpace { requested: pages });
                 }
                 st.next_page += pages;
-                (start, pages)
+                start
             }
         };
         let id = FileId(st.next_file);
@@ -204,12 +235,12 @@ impl FileStore {
         st.files.insert(
             id,
             FileMeta {
-                extents: vec![reserved],
+                extents: vec![(start, pages)],
                 len_pages: 0,
                 len_bytes: 0,
             },
         );
-        Ok(VFile { store: self, id })
+        Ok((id, start))
     }
 
     /// Opens an existing file.
@@ -454,6 +485,126 @@ impl FileStore {
     }
 }
 
+/// Sorts `free` by start page and merges extents that touch.
+fn coalesce(free: &mut Vec<(PageNo, u64)>) {
+    free.sort_unstable();
+    let mut merged: Vec<(PageNo, u64)> = Vec::with_capacity(free.len());
+    for &(start, len) in free.iter() {
+        match merged.last_mut() {
+            Some((prev_start, prev_len)) if *prev_start + *prev_len == start => *prev_len += len,
+            _ => merged.push((start, len)),
+        }
+    }
+    *free = merged;
+}
+
+/// One contiguous run of device pages that its owner addresses by offset
+/// instead of appending to (see [`FileStore::reserve_extent`]). Every access
+/// is checked against the extent's length, so a write or read can never
+/// land outside the reservation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReservedExtent {
+    file: FileId,
+    start: PageNo,
+    pages: u64,
+}
+
+impl ReservedExtent {
+    /// Rebuilds the handle from values read back from the device (a
+    /// superblock's record of the extent), which are untrusted until
+    /// checked here.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::InvalidRestore`] if the extent is empty or
+    /// does not lie inside a device of `capacity_pages` pages.
+    pub fn from_raw(file: FileId, start: PageNo, pages: u64, capacity_pages: u64) -> Result<Self> {
+        match start.checked_add(pages) {
+            Some(end) if pages > 0 && end <= capacity_pages => {
+                Ok(ReservedExtent { file, start, pages })
+            }
+            _ => Err(DeviceError::InvalidRestore {
+                detail: format!(
+                    "{file} extent [{start}, +{pages}) escapes a {capacity_pages}-page device"
+                ),
+            }),
+        }
+    }
+
+    /// The file registration that keeps the pages out of the allocator.
+    pub fn file(&self) -> FileId {
+        self.file
+    }
+
+    /// First device page of the extent.
+    pub fn start(&self) -> PageNo {
+        self.start
+    }
+
+    /// Length of the extent in pages.
+    pub fn pages(&self) -> u64 {
+        self.pages
+    }
+
+    /// The extent as a [`PersistedFile`] covering all of its pages, for
+    /// re-registering it with [`FileStore::restore`].
+    pub fn persisted(&self, len_bytes: u64) -> PersistedFile {
+        PersistedFile {
+            id: self.file,
+            extents: vec![(self.start, self.pages)],
+            len_pages: self.pages,
+            len_bytes,
+        }
+    }
+
+    /// Submits a write of `data` (at most one page) to the page at `offset`
+    /// within the extent.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::FileOffsetOutOfRange`] if `offset` is past the
+    /// extent; device errors arrive on the completion.
+    pub fn submit_write(
+        &self,
+        device: &dyn Device,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<Completion> {
+        if offset >= self.pages {
+            return Err(DeviceError::FileOffsetOutOfRange {
+                offset,
+                len: self.pages,
+            });
+        }
+        Ok(device.submit_write(self.start + offset, data))
+    }
+
+    /// Reads the first `pages` pages of the extent into one buffer. Every
+    /// read is submitted before any is waited on, so the device overlaps
+    /// the whole batch at full queue depth.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::FileOffsetOutOfRange`] if `pages` exceeds the
+    /// extent and propagates device read errors.
+    pub fn read_prefix(&self, device: &dyn Device, pages: u64) -> Result<Vec<u8>> {
+        if pages > self.pages {
+            return Err(DeviceError::FileOffsetOutOfRange {
+                offset: pages,
+                len: self.pages,
+            });
+        }
+        let in_flight: Vec<Completion> = (self.start..self.start + pages)
+            .map(|page| device.submit_read(page))
+            .collect();
+        let mut bytes = Vec::with_capacity(in_flight.len() * PAGE_SIZE);
+        for completion in in_flight {
+            bytes.extend_from_slice(&completion.wait_read()?);
+        }
+        Ok(bytes)
+    }
+}
+
 /// An owned, immutable snapshot of a file's extent map, resolving page reads
 /// directly against the device without going back through the store.
 ///
@@ -473,6 +624,18 @@ impl FileMap {
     /// Length of the mapped file in pages.
     pub fn len_pages(&self) -> u64 {
         self.meta.len_pages
+    }
+
+    /// The mapped file's durable description under the identifier `id` —
+    /// what [`FileStore::file_meta`] would report for a file that has not
+    /// been appended to since the snapshot, without taking the store lock.
+    pub fn persisted(&self, id: FileId) -> PersistedFile {
+        PersistedFile {
+            id,
+            extents: self.meta.extents.clone(),
+            len_pages: self.meta.len_pages,
+            len_bytes: self.meta.len_bytes,
+        }
     }
 
     /// Reads the page at file offset `offset` (in pages), translating through
@@ -801,6 +964,70 @@ mod tests {
             tfs.create_reserved(9),
             Err(DeviceError::OutOfSpace { .. })
         ));
+    }
+
+    #[test]
+    fn reservation_miss_merges_fragments_before_taking_fresh_pages() {
+        let fs = store();
+        // A freed 8-page reservation, nibbled by single-page files...
+        let first = fs.create_reserved(8).unwrap().id();
+        fs.delete(first).unwrap();
+        let nibblers: Vec<FileId> = (0..8u8)
+            .map(|i| {
+                let f = fs.create();
+                f.append_page(&[i]).unwrap();
+                f.id()
+            })
+            .collect();
+        assert_eq!(fs.alloc_cursor().1, 8, "the nibblers reused the extent");
+        // ...comes back as eight one-page fragments. The next reservation
+        // finds no single fit, merges them, and reuses the same eight pages.
+        for id in nibblers {
+            fs.delete(id).unwrap();
+        }
+        let again = fs.create_reserved(8).unwrap().id();
+        assert_eq!(fs.file_meta(again).unwrap().extents, vec![(0, 8)]);
+        assert_eq!(fs.alloc_cursor().1, 8, "no fresh pages taken");
+    }
+
+    #[test]
+    fn reserved_extent_confines_io_to_its_pages() {
+        let disk = SimDisk::new_shared(DeviceConfig::free_latency().with_capacity_pages(64));
+        let fs = FileStore::with_base_page(disk.clone(), 2);
+        let ext = fs.reserve_extent(4).unwrap();
+        assert_eq!((ext.start(), ext.pages()), (2, 4));
+        for i in 0..4u8 {
+            ext.submit_write(&*disk, u64::from(i), &[i + 1])
+                .unwrap()
+                .wait()
+                .unwrap();
+        }
+        assert!(matches!(
+            ext.submit_write(&*disk, 4, &[9]),
+            Err(DeviceError::FileOffsetOutOfRange { offset: 4, len: 4 })
+        ));
+        let bytes = ext.read_prefix(&*disk, 3).unwrap();
+        assert_eq!(bytes.len(), 3 * PAGE_SIZE);
+        assert_eq!(
+            (bytes[0], bytes[PAGE_SIZE], bytes[2 * PAGE_SIZE]),
+            (1, 2, 3)
+        );
+        assert!(ext.read_prefix(&*disk, 5).is_err());
+        // The registration keeps the pages out of the allocator...
+        let f = fs.create();
+        f.append_page(&[7]).unwrap();
+        assert_eq!(fs.file_meta(f.id()).unwrap().extents, vec![(6, 1)]);
+        // ...and describes the whole extent for a restore.
+        assert_eq!(ext.persisted(10).extents, vec![(2, 4)]);
+        assert_eq!(ext.persisted(10).len_pages, 4);
+        // Values read back from a device are checked before use.
+        assert_eq!(ReservedExtent::from_raw(ext.file(), 2, 4, 64).unwrap(), ext);
+        for (start, pages) in [(2, 0), (62, 4), (u64::MAX, 2), (2, u64::MAX)] {
+            assert!(matches!(
+                ReservedExtent::from_raw(ext.file(), start, pages, 64),
+                Err(DeviceError::InvalidRestore { .. })
+            ));
+        }
     }
 
     #[test]

@@ -4,10 +4,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use blockdev::{
-    Completion, Device, DeviceConfig, FileId, FileStore, IoStatsSnapshot, PersistedFile, SimDisk,
+    Completion, Device, DeviceConfig, FileId, FileStore, IoStatsSnapshot, ReservedExtent, SimDisk,
     Superblock, FIRST_DATA_PAGE, PAGE_SIZE,
 };
-use lsm::{LsmTable, PartitionSnapshot, Record, TableConfig};
+use lsm::{LsmTable, TableConfig};
 use obs::{spans, Histogram, MetricSet};
 use parking_lot::{Mutex, RwLock};
 
@@ -17,11 +17,13 @@ use crate::error::{BacklogError, Result};
 use crate::journal::{Journal, JournalEntry, JournalRing, JournalRingStats};
 use crate::lineage::LineageTable;
 use crate::maintenance::{join_and_purge_streaming, reference, JoinPurgeStats};
-use crate::manifest::{self, ManifestTables};
+use crate::manifest::{self, BuiltRuns, LogTail, TableSnapshots};
 use crate::observe::EngineObs;
 use crate::query::{assemble_query, QueryResult};
 use crate::record::{CombinedRecord, FromRecord, RefIdentity, ToRecord};
-use crate::stats::{BacklogStats, CpPhaseNs, CpReport, IoDelta, MaintenanceReport};
+use crate::stats::{
+    BacklogStats, CpPhaseNs, CpReport, IoDelta, MaintenanceReport, ManifestKind, ManifestLogStats,
+};
 use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 
 /// The log-structured back-reference engine (the paper's *Backlog*).
@@ -75,9 +77,11 @@ use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 ///
 /// Engines created with [`create_durable`](Self::create_durable) (or
 /// recovered with [`open`](Self::open)) finish every consistency point by
-/// writing a self-describing *CP manifest* and flipping a ping-pong
-/// superblock at fixed device pages — after which the database can be
-/// reopened from raw device contents at exactly that CP. Updates after the
+/// appending a *delta frame* — what changed since the previous CP — to the
+/// on-device *manifest log* (or starting a new log with a full *base
+/// frame*) and flipping a ping-pong superblock at fixed device pages —
+/// after which the database can be reopened from raw device contents at
+/// exactly that CP. Updates after the
 /// last durable CP live only in the write stores; with
 /// [`BacklogConfig::journaling`] a durable engine additionally logs every
 /// callback to an on-device [`JournalRing`] (group commit, one flush
@@ -252,8 +256,8 @@ impl CpCache {
 
 /// Totals at the end of the previous consistency point (guarded by the CP
 /// lock), so each CP reports the delta over its own interval — plus the
-/// durable-metadata cursor (superblock generation and the live manifest
-/// file), which the CP lock conveniently serializes too.
+/// durable-metadata cursor (superblock generation and the manifest log),
+/// which the CP lock conveniently serializes too.
 #[derive(Debug, Default)]
 struct CpInterval {
     block_ops: u64,
@@ -262,9 +266,17 @@ struct CpInterval {
     io: IoStatsSnapshot,
     /// Generation of the most recent durable superblock (0 = none yet).
     sb_generation: u64,
-    /// The manifest file the durable superblock points at, deleted when the
-    /// next CP's superblock flip supersedes it.
-    manifest_file: Option<FileId>,
+    /// The manifest log the durable superblock points at, deleted once a CP
+    /// that started a new log has flipped.
+    log_file: Option<FileId>,
+    /// The tail of that log, when the next CP may append a delta frame to
+    /// it. `None` — before the first CP, after [`open`](BacklogEngine::open)
+    /// and after any CP that failed — makes the next CP start a new log
+    /// with a base frame.
+    log_tail: Option<LogTail>,
+    /// The shape of the durable log, for
+    /// [`manifest_log`](BacklogEngine::manifest_log).
+    log_stats: ManifestLogStats,
 }
 
 /// The engine's cumulative atomic counters. `block_ops` is derived
@@ -306,14 +318,12 @@ impl Counters {
 /// through the device inside the reservation, and the file registration
 /// only keeps those pages out of the allocator.
 fn reserve_journal_ring(files: &Arc<FileStore>, config: &BacklogConfig) -> Result<JournalRing> {
-    let pages = config.journal_ring_pages.max(1);
-    let id = files.create_reserved(pages)?.id();
-    let start = files.file_meta(id)?.extents[0].0;
+    let extent = files.reserve_extent(config.journal_ring_pages.max(1))?;
     Ok(JournalRing::new(
         files.device().clone(),
-        id,
-        start,
-        pages,
+        extent.file(),
+        extent.start(),
+        extent.pages(),
         config.journal_group_size,
     ))
 }
@@ -385,15 +395,15 @@ impl BacklogEngine {
     /// Creates a *durable* engine on an empty device: pages 0–1 are reserved
     /// for the ping-pong superblock, the file store defers page frees until
     /// each superblock flip (the write-anywhere reuse rule), and every
-    /// consistency point additionally writes a CP manifest and flips the
-    /// superblock — so [`open`](Self::open) can rebuild the engine from the
-    /// raw device after a crash. An initial empty manifest is written
-    /// immediately: a crash before the first real CP recovers to an empty
-    /// database rather than an unopenable device.
+    /// consistency point additionally writes a manifest-log frame and flips
+    /// the superblock — so [`open`](Self::open) can rebuild the engine from
+    /// the raw device after a crash. An initial base frame describing the
+    /// empty database is written immediately: a crash before the first real
+    /// CP recovers to an empty database rather than an unopenable device.
     ///
     /// # Errors
     ///
-    /// Propagates device errors from writing the initial manifest.
+    /// Propagates device errors from writing the initial frame.
     pub fn create_durable(device: Arc<dyn Device>, config: BacklogConfig) -> Result<Self> {
         let files = Arc::new(FileStore::with_base_page(device, FIRST_DATA_PAGE));
         files.set_deferred_frees(true);
@@ -423,9 +433,7 @@ impl BacklogEngine {
                 &mut interval,
                 &lineage,
                 &stats,
-                &[],
-                &[],
-                &[],
+                BuiltRuns::NONE,
                 Vec::new(),
                 &mut CpPhaseNs::default(),
             )?;
@@ -434,19 +442,25 @@ impl BacklogEngine {
     }
 
     /// Rebuilds a fully functional engine from raw device contents: reads
-    /// the latest valid superblock, loads and validates the CP manifest it
-    /// points at, restores the file store's extent map, reopens every
+    /// the latest valid superblock, reads the valid prefix of the manifest
+    /// log it points at (`ceil(len / page)` pages of one extent, at full
+    /// queue depth), decodes the base frame and REDO-applies the delta
+    /// frames in order, restores the file store's extent map, reopens every
     /// table's runs and deletion vectors, and reinstates the lineage table
     /// and cumulative counters — the state as of the last durable
-    /// consistency point. Updates that post-date that CP lived only in the
+    /// consistency point. The log is not appended to afterwards: the first
+    /// CP of the reopened engine starts a new log with a base frame and
+    /// retires this one. Updates that post-date that CP lived only in the
     /// in-memory write stores; recover them, if the host keeps a journal, by
     /// replaying it ([`open_with_journal`](Self::open_with_journal)).
     ///
     /// # Errors
     ///
     /// Returns [`BacklogError::Recovery`] if the device holds no valid
-    /// superblock, the manifest fails validation, or `config` disagrees with
-    /// the recorded partitioning; propagates device errors.
+    /// superblock, the superblock's record of the log or the journal ring
+    /// does not fit the device, any frame fails validation, or `config`
+    /// disagrees with the recorded partitioning — device read errors
+    /// included.
     pub fn open(device: Arc<dyn Device>, config: BacklogConfig) -> Result<Self> {
         // Every failure below — including a device read dying mid-open —
         // surfaces as `Recovery` naming the stage that failed. Recovery is
@@ -467,38 +481,27 @@ impl BacklogEngine {
             .ok_or_else(|| BacklogError::Recovery {
                 detail: "no valid superblock on the device".into(),
             })?;
-        let blob = manifest::read_raw(&*device, &sb).map_err(|e| stage("manifest read", e))?;
-        let m = manifest::decode(&blob).map_err(|e| stage("manifest decode", e))?;
-        if m.partitioning != config.partitioning {
-            return Err(BacklogError::Recovery {
-                detail: format!(
-                    "device holds {} partitions of width {}, config says {} of width {}",
-                    m.partitioning.partition_count(),
-                    m.partitioning.width(),
-                    config.partitioning.partition_count(),
-                    config.partitioning.width()
-                ),
-            });
-        }
-        // The manifest file itself is re-registered as a live file so its
+        let (log_extent, log) =
+            manifest::read_log(&*device, &sb).map_err(|e| stage("manifest log read", e))?;
+        let m = manifest::decode_log(&log, sb.generation, config.partitioning)
+            .map_err(|e| stage("manifest log decode", e))?;
+        // The log's whole extent is re-registered as a live file so its
         // pages stay unallocatable until the next CP's flip retires it.
         let mut files_list = m.files;
-        files_list.push(PersistedFile {
-            id: FileId(sb.manifest_file),
-            extents: sb.manifest_extents.clone(),
-            len_pages: sb.manifest_extents.iter().map(|&(_, len)| len).sum(),
-            len_bytes: sb.manifest_len_bytes,
-        });
-        // Likewise the journal ring (the manifest only lists files that run
+        files_list.push(log_extent.persisted(sb.manifest_len_bytes));
+        // Likewise the journal ring (the log only lists files that run
         // metadata references): re-registering its extent keeps the ring's
-        // pages out of the allocator forever.
+        // pages out of the allocator forever. The superblock's record of it
+        // is as untrusted as its record of the log.
         if sb.journal_pages > 0 {
-            files_list.push(PersistedFile {
-                id: FileId(sb.journal_file),
-                extents: vec![(sb.journal_start, sb.journal_pages)],
-                len_pages: sb.journal_pages,
-                len_bytes: sb.journal_pages * PAGE_SIZE as u64,
-            });
+            let ring = ReservedExtent::from_raw(
+                FileId(sb.journal_file),
+                sb.journal_start,
+                sb.journal_pages,
+                device.capacity_pages(),
+            )
+            .map_err(|e| stage("journal ring extent", e.into()))?;
+            files_list.push(ring.persisted(ring.pages().saturating_mul(PAGE_SIZE as u64)));
         }
         let files = Arc::new(
             FileStore::restore(
@@ -592,8 +595,17 @@ impl BacklogEngine {
             callback_ns: m.stats.callback_ns,
             io: files.device().stats().snapshot(),
             sb_generation: sb.generation,
-            manifest_file: Some(FileId(sb.manifest_file)),
+            log_file: Some(log_extent.file()),
+            log_tail: None,
+            log_stats: ManifestLogStats {
+                base_pages: m.base_pages,
+                delta_frames: m.delta_frames,
+                delta_pages: m.delta_pages,
+                reserved_pages: log_extent.pages(),
+                last_attempt: None,
+            },
         };
+        obs.set_manifest_log_pages(interval.log_stats.log_pages());
         Ok(BacklogEngine {
             counters: Counters::from_stats(&m.stats),
             files,
@@ -1026,6 +1038,7 @@ impl BacklogEngine {
     /// stores; the CP can be retried once the device recovers.
     pub fn consistency_point_parallel(&self, threads: usize) -> Result<CpReport> {
         let mut interval = self.cp_lock.lock();
+        interval.log_stats.last_attempt = None;
         let io_before = self.io_snapshot();
         let start = self.now();
         let cp = self.lineage.read().current_cp();
@@ -1061,30 +1074,33 @@ impl BacklogEngine {
         drop(prep_span);
         phases.prepare = self.obs.now().saturating_sub(prep_t0);
 
-        // Durability: write the CP manifest and flip the superblock before
-        // declaring the CP. The manifest records the *advanced* CP clock (a
-        // reopened engine must stamp new records into the next interval),
+        // Durability: write the manifest-log frame and flip the superblock
+        // before declaring the CP. The frame records the *advanced* CP clock
+        // (a reopened engine must stamp new records into the next interval),
         // but the in-memory lineage advances only after the flip succeeds —
         // on error the engine state is exactly "CP not taken", as the
         // method's contract promises, and the previous durable CP is intact
         // on disk.
+        let mut manifest_write = None;
         if self.durable {
             let mut lineage_next = self.lineage.read().clone();
             lineage_next.advance_cp();
-            // The manifest likewise records the post-CP counter state: this
-            // CP counts itself (its counter bump happens after the flip).
+            // The frame likewise records the post-CP counter state: this CP
+            // counts itself (its counter bump happens after the flip).
             let mut stats_next = self.stats();
             stats_next.consistency_points += 1;
-            self.write_durable_cp(
+            manifest_write = Some(self.write_durable_cp(
                 &mut interval,
                 &lineage_next,
                 &stats_next,
-                &from_prep.run_metas(),
-                &to_prep.run_metas(),
-                &combined_prep.run_metas(),
+                BuiltRuns {
+                    from: from_prep.built_runs(),
+                    to: to_prep.built_runs(),
+                    combined: combined_prep.built_runs(),
+                },
                 pending,
                 &mut phases,
-            )?;
+            )?);
         } else {
             // Non-durable: no manifest to overlap with, but the flush I/O
             // still has to land before the runs become query-visible.
@@ -1133,6 +1149,8 @@ impl BacklogEngine {
             callback_ns: callback_ns_now.saturating_sub(interval.callback_ns),
             flush_ns,
             phases,
+            manifest_pages: manifest_write.map_or(0, |(_, pages)| pages),
+            manifest_kind: manifest_write.map(|(kind, _)| kind),
         };
         self.obs
             .record_cp(self.obs.now().saturating_sub(cp_t0), &phases);
@@ -1165,132 +1183,160 @@ impl BacklogEngine {
         Ok(report)
     }
 
-    /// Writes one durable consistency point: the CP manifest (a fresh
-    /// write-anywhere virtual file describing every table's run layout, the
-    /// deletion vectors, `lineage` and the counters) followed by the
-    /// superblock flip, then retires the previous manifest and commits the
-    /// deferred page frees. Ordering is everything here:
+    /// Writes one durable consistency point: one frame of the manifest log
+    /// (see [`crate::manifest`]) followed by the superblock flip, then
+    /// retires what the flip made garbage and commits the deferred page
+    /// frees. Returns the kind of frame written and its size in pages.
+    ///
+    /// **Which frame.** If the previous durable CP left a log tail and a
+    /// delta against it fits in the rest of the log's reservation, the
+    /// frame is that *delta* — the runs added and removed and the deletion
+    /// vectors replaced since then, found in time proportional to the
+    /// partitions that changed — appended at the first page beyond the
+    /// valid prefix the previous superblock recorded. Otherwise (first CP,
+    /// first CP after [`open`](Self::open), the CP after a failed one, or a
+    /// *rollover* because the delta no longer fits) it is a *base* frame
+    /// describing everything, written at the start of a new reservation of
+    /// twice its own size. Either way nothing the previous superblock can
+    /// reach is overwritten.
+    ///
+    /// **Ordering** is everything here:
     ///
     /// 1. every page this CP submitted — the three tables' run writes handed
-    ///    in as `pending_io` *and* the manifest pages appended here — is
+    ///    in as `pending_io` *and* the frame pages submitted here — is
     ///    waited on through **one** completion drain, then made stable by
-    ///    **one** pre-flip barrier (*the superblock never points at a
-    ///    manifest or run that is not fully on disk*);
+    ///    **one** pre-flip barrier (*the superblock never covers a frame or
+    ///    run that is not fully on disk*);
     /// 2. the superblock flip is a single page write into the slot the
-    ///    previous generation does **not** occupy, so a crash at any write
-    ///    of 1–2 leaves the previous generation's superblock and manifest —
-    ///    and every run they reference, whose pages deferred frees have kept
-    ///    unallocatable — fully intact;
-    /// 3. only after the flip do the old manifest and the interval's
-    ///    deferred frees become reusable space.
+    ///    previous generation does **not** occupy, recording the log's
+    ///    extent and its new valid prefix. A crash at any write of 1–2
+    ///    leaves the previous generation's superblock, the prefix it
+    ///    recorded, and every run that prefix names — whose pages deferred
+    ///    frees have kept unallocatable — fully intact; the dead CP's frame
+    ///    lies beyond that prefix and is never read;
+    /// 3. only after a post-flip barrier do the old log (if this CP started
+    ///    a new one), the runs only the previous log view still pinned, the
+    ///    interval's deferred frees and the journal ring's truncated groups
+    ///    become reusable space.
     ///
-    /// On error the partially written manifest file is deleted and the
-    /// previous durable CP remains the recovery target; the CP can simply be
-    /// retried.
+    /// **Failure.** The in-memory log tail is consumed on entry and
+    /// reinstated only on success, so after an error — before the flip, or
+    /// the post-flip barrier failing, which leaves the flip's durability
+    /// unknown — the next CP writes a base frame into a new reservation. A
+    /// new reservation this CP made is deleted on a pre-flip error; the log
+    /// the durable superblock points at stays registered (and its pages
+    /// unallocatable) until a later CP's flip retires it. The CP can simply
+    /// be retried.
     ///
-    /// `pending_*` are this CP's prepared-but-uninstalled Level-0 runs (one
-    /// `(partition, meta)` pair per run, see [`lsm::PreparedFlush`]). They
-    /// are appended to each partition's installed-run list in the manifest:
-    /// the manifest must describe the table state *after* the flip commits
-    /// the flush, and the caller holds the prepared handles across this
-    /// write so the run files cannot be deleted from under the manifest.
+    /// `built` are this CP's prepared-but-uninstalled Level-0 runs (see
+    /// [`lsm::PreparedFlush`]). The frame lists them after each partition's
+    /// installed runs: it must describe the table state *after* the flip
+    /// commits the flush, and the caller holds the prepared handles across
+    /// this write so the run files cannot be deleted from under the frame.
     ///
     /// `pending_io` are the in-flight run-page writes those prepared flushes
-    /// submitted ([`lsm::PreparedFlush::take_pending_io`]); the manifest
-    /// appends below join the same queue, and everything is waited on
-    /// together. An error on any completion aborts exactly like a submit
-    /// error: the manifest file is deleted, nothing flips, and the caller's
-    /// drop of the prepared handles restores the tables.
-    #[allow(clippy::too_many_arguments)]
+    /// submitted ([`lsm::PreparedFlush::take_pending_io`]); the frame's
+    /// pages join the same queue, and everything is waited on together. An
+    /// error on any completion aborts exactly like a submit error: nothing
+    /// flips, and the caller's drop of the prepared handles restores the
+    /// tables.
     fn write_durable_cp(
         &self,
         interval: &mut CpInterval,
         lineage: &LineageTable,
         stats: &BacklogStats,
-        pending_from: &[(u32, lsm::RunMeta)],
-        pending_to: &[(u32, lsm::RunMeta)],
-        pending_combined: &[(u32, lsm::RunMeta)],
-        pending_io: Vec<Completion>,
+        built: BuiltRuns<'_>,
+        mut pending_io: Vec<Completion>,
         phases: &mut CpPhaseNs,
-    ) -> Result<()> {
-        let mut pending_io = pending_io;
+    ) -> Result<(ManifestKind, u64)> {
         let cp = lineage.current_cp();
         let flush_t0 = self.obs.now();
         let flush_span = self.obs.recorder().span(spans::CP_FLUSH, cp);
-        // Hold snapshots of every partition until the end: their `Arc`s pin
-        // the referenced run files against a concurrent rebuild commit
-        // deleting them between manifest encode and superblock flip.
+        let tail = interval.log_tail.take();
+        let generation = interval.sb_generation + 1;
+        // One snapshot per partition per table — two `Arc` clones each, no
+        // run is touched. They move into the new log view below and stay
+        // there past the flip: their `Arc`s pin the run files the frame
+        // names against a concurrent rebuild commit deleting them.
         let partitions = self.config.partitioning.partition_count();
-        let mut from_snaps = Vec::with_capacity(partitions as usize);
-        let mut to_snaps = Vec::with_capacity(partitions as usize);
-        let mut combined_snaps = Vec::with_capacity(partitions as usize);
+        let mut snaps = TableSnapshots {
+            from: Vec::with_capacity(partitions as usize),
+            to: Vec::with_capacity(partitions as usize),
+            combined: Vec::with_capacity(partitions as usize),
+        };
         for p in 0..partitions {
             // Under the partition's shared lock, so the three per-table
             // states are mutually consistent (a rebuild commit takes it
             // exclusively across its three swaps).
             let _guard = self.partition_locks[p as usize].read();
-            from_snaps.push(self.from_table.partition_snapshot(p));
-            to_snaps.push(self.to_table.partition_snapshot(p));
-            combined_snaps.push(self.combined_table.partition_snapshot(p));
+            snaps.from.push(self.from_table.partition_snapshot(p));
+            snaps.to.push(self.to_table.partition_snapshot(p));
+            snaps
+                .combined
+                .push(self.combined_table.partition_snapshot(p));
         }
-        fn capture<R: Record>(
-            snaps: &[PartitionSnapshot<R>],
-            pending: &[(u32, lsm::RunMeta)],
-        ) -> Vec<lsm::PartitionManifest<R>> {
-            let mut parts: Vec<_> = snaps.iter().map(|s| s.manifest()).collect();
-            // Runs are listed oldest first; a prepared run is newer than
-            // everything installed.
-            for (pidx, meta) in pending {
-                parts[*pidx as usize].runs.push(meta.clone());
-            }
-            parts
-        }
-        let tables = ManifestTables {
-            from: capture(&from_snaps, pending_from),
-            to: capture(&to_snaps, pending_to),
-            combined: capture(&combined_snaps, pending_combined),
+        let encode = |prev: Option<&manifest::LogView>| {
+            manifest::encode_frame(
+                prev,
+                generation,
+                self.config.partitioning,
+                stats,
+                lineage,
+                &snaps,
+                built,
+            )
         };
-        let blob = manifest::encode(
-            &self.files,
-            self.config.partitioning,
-            stats,
-            lineage,
-            &tables,
-        )?;
-        // The manifest is reserved as ONE contiguous extent (a single free
-        // extent or fresh bump pages), so its extent list always fits in the
-        // superblock page no matter how fragmented the free list is.
-        let mfile = self
-            .files
-            .create_reserved(blob.len().div_ceil(PAGE_SIZE) as u64)?;
-        let mid = mfile.id();
-        // Manifest pages join the same in-flight queue as the run writes:
-        // appends are submitted back to back and overlap with whatever flush
-        // I/O the device is still servicing.
-        for chunk in blob.chunks(PAGE_SIZE) {
-            match mfile.append_page_async(chunk) {
-                Ok((_, completion)) => pending_io.push(completion),
+        let delta = tail
+            .as_ref()
+            .map(|t| (t, encode(Some(&t.view))))
+            .filter(|(t, (frame, _))| t.fits(frame.len()));
+        let (kind, frame, view, extent, first_page) = match delta {
+            Some((t, (frame, view))) => (ManifestKind::Delta, frame, view, t.extent, t.next_page()),
+            None => {
+                let (frame, view) = encode(None);
+                // ONE contiguous extent (a single free extent or fresh bump
+                // pages), so the log's extent list always fits in the
+                // superblock page no matter how fragmented the free list is.
+                let extent = self
+                    .files
+                    .reserve_extent(manifest::reservation_pages(frame.len()))?;
+                (ManifestKind::Base, frame, view, extent, 0)
+            }
+        };
+        let rollover = kind == ManifestKind::Base && tail.is_some();
+        interval.log_stats.last_attempt = Some(kind);
+        // A pre-flip failure gives a new reservation back; a delta's pages
+        // belong to the live log and simply stay beyond its valid prefix.
+        let abandon = |e: BacklogError| {
+            if kind == ManifestKind::Base {
+                let _ = self.files.delete(extent.file());
+            }
+            e
+        };
+        // Frame pages join the same in-flight queue as the run writes: they
+        // are submitted back to back and overlap with whatever flush I/O the
+        // device is still servicing.
+        for (i, chunk) in frame.chunks(PAGE_SIZE).enumerate() {
+            match extent.submit_write(&**self.device(), first_page + i as u64, chunk) {
+                Ok(completion) => pending_io.push(completion),
                 Err(e) => {
                     drop(pending_io); // retire in-flight accounting unwaited
-                    let _ = self.files.delete(mid);
-                    return Err(e.into());
+                    return Err(abandon(e.into()));
                 }
             }
         }
-        // The single wait-all: every run page and manifest page this CP
+        // The single wait-all: every run page and frame page this CP
         // submitted resolves here, in one drain, before the one barrier
         // below. An error abandons the rest (their accounting retires).
         for completion in pending_io {
             if let Err(e) = completion.wait() {
-                let _ = self.files.delete(mid);
-                return Err(e.into());
+                return Err(abandon(e.into()));
             }
         }
         drop(flush_span);
         phases.flush = self.obs.now().saturating_sub(flush_t0);
-        let extents = self.files.file_meta(mid)?.extents;
-        // The cursor is sampled after the manifest write, so every file id
-        // and extent the manifest (or the superblock) references lies below
+        // The cursor is sampled after the log's reservation, so every file
+        // id and extent the log (or the superblock) references lies below
         // it — the restore-time free-space computation depends on this.
         let (next_file, next_page) = self.files.alloc_cursor();
         // The journal ring's one-CP-late truncation target. `lineage` holds
@@ -1308,10 +1354,11 @@ impl BacklogEngine {
             ),
             _ => (0, 0, 0, (0, 0)),
         };
+        let len_bytes = first_page * PAGE_SIZE as u64 + frame.len() as u64;
         let sb = Superblock {
-            generation: interval.sb_generation + 1,
-            manifest_file: mid.0,
-            manifest_len_bytes: blob.len() as u64,
+            generation,
+            manifest_file: extent.file().0,
+            manifest_len_bytes: len_bytes,
             next_file,
             next_page,
             journal_file,
@@ -1319,45 +1366,72 @@ impl BacklogEngine {
             journal_pages,
             journal_tail_page: journal_tail.0,
             journal_tail_seq: journal_tail.1,
-            manifest_extents: extents,
+            manifest_extents: vec![(extent.start(), extent.pages())],
         };
         // THE pre-flip barrier: every page this CP wrote — all three tables'
-        // run files and the manifest pages, already drained above — must be
-        // stable before the superblock can point at them, or a power cut
-        // could persist the flip but lose (or tear) what it references. One
+        // run files and the frame pages, already drained above — must be
+        // stable before the superblock can cover them, or a power cut could
+        // persist the flip but lose (or tear) what it references. One
         // barrier covers everything because the drain above already proved
         // every write reached the device.
         let barrier_t0 = self.obs.now();
         let barrier_span = self.obs.recorder().span(spans::CP_BARRIER, cp);
         if let Err(e) = self.device().flush() {
-            let _ = self.files.delete(mid);
-            return Err(e.into());
+            return Err(abandon(e.into()));
         }
         drop(barrier_span);
         phases.barrier = self.obs.now().saturating_sub(barrier_t0);
         let flip_t0 = self.obs.now();
         let flip_span = self.obs.recorder().span(spans::CP_FLIP, cp);
         if let Err(e) = sb.write_to(&**self.device()) {
-            let _ = self.files.delete(mid);
-            return Err(e.into());
+            return Err(abandon(e.into()));
         }
-        // Post-flip barrier: the flip itself must be stable before the previous
-        // generation's manifest pages (and this interval's deferred frees)
-        // become reusable. On failure the flip's durability is unknown, so
-        // nothing is retired or freed — both generations' data stays pinned,
-        // which is safe whichever superblock survives; a retried CP writes a
-        // fresh manifest at a higher generation.
+        // Post-flip barrier: the flip itself must be stable before anything
+        // the previous generation can reach (and this interval's deferred
+        // frees) becomes reusable. On failure the flip's durability is
+        // unknown, so nothing is retired or freed — both generations' data
+        // stays pinned, which is safe whichever superblock survives; a
+        // retried CP writes a base frame at a higher generation.
         self.device().flush().map_err(BacklogError::from)?;
         drop(flip_span);
         phases.flip = self.obs.now().saturating_sub(flip_t0);
-        // The flip is durable: everything the previous generation kept
+        // The flip is durable: everything only the previous generation kept
         // pinned is now garbage.
         let retire_t0 = self.obs.now();
         let retire_span = self.obs.recorder().span(spans::CP_RETIRE, cp);
-        interval.sb_generation = sb.generation;
-        if let Some(old) = interval.manifest_file.replace(mid) {
-            let _ = self.files.delete(old);
+        interval.sb_generation = generation;
+        if kind == ManifestKind::Base {
+            if let Some(old) = interval.log_file.replace(extent.file()) {
+                let _ = self.files.delete(old);
+            }
         }
+        let frame_pages = frame.len().div_ceil(PAGE_SIZE) as u64;
+        let log = &mut interval.log_stats;
+        match kind {
+            ManifestKind::Delta => {
+                log.delta_frames += 1;
+                log.delta_pages += frame_pages;
+            }
+            ManifestKind::Base => {
+                *log = ManifestLogStats {
+                    base_pages: frame_pages,
+                    reserved_pages: extent.pages(),
+                    last_attempt: Some(kind),
+                    ..Default::default()
+                };
+            }
+        }
+        self.obs
+            .record_manifest_frame(kind, frame_pages, rollover, log.log_pages());
+        // The previous view goes before the frees commit: its snapshots may
+        // be the last holders of runs a rebuild retired since, whose pages
+        // this flip made unreachable.
+        drop(tail);
+        interval.log_tail = Some(LogTail {
+            extent,
+            len_bytes,
+            view,
+        });
         self.files.commit_frees();
         // The flip carried the ring's truncation record; only now may the
         // in-memory tail advance past the dropped groups (an aborted CP
@@ -1367,7 +1441,15 @@ impl BacklogEngine {
         }
         drop(retire_span);
         phases.retire = self.obs.now().saturating_sub(retire_t0);
-        Ok(())
+        Ok((kind, frame_pages))
+    }
+
+    /// The shape of the manifest log the newest durable superblock points
+    /// at — base pages, delta frames and pages, reservation — and the kind
+    /// of frame the latest CP attempt chose. All zero for non-durable
+    /// engines.
+    pub fn manifest_log(&self) -> ManifestLogStats {
+        self.cp_lock.lock().log_stats
     }
 
     /// Whether this engine writes durable metadata at every consistency

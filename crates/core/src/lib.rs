@@ -89,6 +89,8 @@ pub use lineage::{LineInfo, LineageTable};
 pub use observe::EngineObs;
 pub use query::{BackRef, QueryResult};
 pub use record::{CombinedRecord, FromRecord, RefIdentity, ToRecord};
-pub use stats::{BacklogStats, CpPhaseNs, CpReport, IoDelta, MaintenanceReport};
+pub use stats::{
+    BacklogStats, CpPhaseNs, CpReport, IoDelta, MaintenanceReport, ManifestKind, ManifestLogStats,
+};
 pub use types::{BlockNo, CpNumber, FileOffset, InodeNo, LineId, Owner, SnapshotId, CP_INFINITY};
 pub use verify::{verify, ExpectedRef, VerifyReport};

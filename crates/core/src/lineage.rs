@@ -474,8 +474,10 @@ impl LineageTable {
         }
         let next_line = get_u32(bytes, at)?;
         let current_cp = get_u64(bytes, at)?;
+        // The counts below come straight off the device: nothing is sized
+        // by them, every loop ends at the first missing byte.
         let line_count = get_u32(bytes, at)?;
-        let mut lines = HashMap::with_capacity(line_count as usize);
+        let mut lines = HashMap::new();
         for _ in 0..line_count {
             let id = LineId(get_u32(bytes, at)?);
             let parent = match get_u8(bytes, at)? {
@@ -514,7 +516,7 @@ impl LineageTable {
             live_versions.insert(line, set);
         }
         let zombie_count = get_u32(bytes, at)?;
-        let mut zombies = HashSet::with_capacity(zombie_count as usize);
+        let mut zombies = HashSet::new();
         for _ in 0..zombie_count {
             zombies.insert(SnapshotId::new(
                 LineId(get_u32(bytes, at)?),
@@ -527,7 +529,7 @@ impl LineageTable {
         for _ in 0..clone_parents {
             let snap = SnapshotId::new(LineId(get_u32(bytes, at)?), get_u64(bytes, at)?);
             let count = get_u32(bytes, at)?;
-            let mut list = Vec::with_capacity(count as usize);
+            let mut list = Vec::new();
             for _ in 0..count {
                 list.push(LineId(get_u32(bytes, at)?));
             }

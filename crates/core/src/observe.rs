@@ -13,13 +13,14 @@
 //! dump is a pure function of the event sequence and byte-identical
 //! across runs of the same seed.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use blockdev::{IoStats, IoStatsSnapshot};
 use obs::{Clock, FlightRecorder, Histogram, MetricSet, MonotonicClock, TickClock};
 
 use crate::journal::JournalRingStats;
-use crate::stats::{BacklogStats, CpPhaseNs, CpReport, MaintenanceReport};
+use crate::stats::{BacklogStats, CpPhaseNs, CpReport, MaintenanceReport, ManifestKind};
 
 /// Flight-recorder lanes (writer threads round-robin onto these).
 const RECORDER_LANES: usize = 8;
@@ -43,13 +44,13 @@ pub struct EngineObs {
     pub cp_flush_ns: Histogram,
     /// CP phase: kicking off the per-table prepare flushes.
     pub cp_phase_prepare: Histogram,
-    /// CP phase: pipelined table + manifest writes and their drain.
+    /// CP phase: pipelined table + manifest-frame writes and their drain.
     pub cp_phase_flush: Histogram,
     /// CP phase: the single pre-flip flush barrier.
     pub cp_phase_barrier: Histogram,
     /// CP phase: superblock flip + post-flip hardening.
     pub cp_phase_flip: Histogram,
-    /// CP phase: manifest/freed-block/journal retirement.
+    /// CP phase: old-log/freed-block/journal retirement.
     pub cp_phase_retire: Histogram,
     /// One whole maintenance run.
     pub maintenance_ns: Histogram,
@@ -60,6 +61,14 @@ pub struct EngineObs {
     /// One journal group commit (coalesce through ack). Shared with the
     /// journal ring, which records into it from `sync`.
     pub group_commit_ns: Arc<Histogram>,
+    /// Pages written to the manifest log as base frames.
+    manifest_base_pages: AtomicU64,
+    /// Pages written to the manifest log as delta frames.
+    manifest_delta_pages: AtomicU64,
+    /// Base frames written because the next delta no longer fit its log.
+    manifest_rollovers: AtomicU64,
+    /// Pages of the durable log's valid prefix (base + deltas).
+    manifest_log_pages: AtomicU64,
 }
 
 impl EngineObs {
@@ -90,6 +99,10 @@ impl EngineObs {
             maintenance_partition_ns: Histogram::new(),
             query_ns: Histogram::new(),
             group_commit_ns: Arc::new(Histogram::new()),
+            manifest_base_pages: AtomicU64::new(0),
+            manifest_delta_pages: AtomicU64::new(0),
+            manifest_rollovers: AtomicU64::new(0),
+            manifest_log_pages: AtomicU64::new(0),
         }
     }
 
@@ -116,6 +129,54 @@ impl EngineObs {
         self.cp_phase_barrier.record(phases.barrier);
         self.cp_phase_flip.record(phases.flip);
         self.cp_phase_retire.record(phases.retire);
+    }
+
+    /// Records one durable CP's manifest-log frame: its kind and size,
+    /// whether it was a rollover, and the log's valid prefix afterwards.
+    pub fn record_manifest_frame(
+        &self,
+        kind: ManifestKind,
+        pages: u64,
+        rollover: bool,
+        log_pages: u64,
+    ) {
+        let total = match kind {
+            ManifestKind::Base => &self.manifest_base_pages,
+            ManifestKind::Delta => &self.manifest_delta_pages,
+        };
+        total.fetch_add(pages, Ordering::Relaxed);
+        self.manifest_rollovers
+            .fetch_add(u64::from(rollover), Ordering::Relaxed);
+        self.set_manifest_log_pages(log_pages);
+    }
+
+    /// Sets the manifest-log length gauge (a reopened engine starts from
+    /// the log it recovered).
+    pub fn set_manifest_log_pages(&self, log_pages: u64) {
+        self.manifest_log_pages.store(log_pages, Ordering::Relaxed);
+    }
+
+    /// The manifest log's write volume and current length — the CP's
+    /// metadata cost as first-class numbers.
+    pub fn manifest_metrics(&self) -> MetricSet {
+        let mut set = MetricSet::new();
+        set.counter(
+            "backlog_manifest_base_pages_total",
+            self.manifest_base_pages.load(Ordering::Relaxed),
+        );
+        set.counter(
+            "backlog_manifest_delta_pages_total",
+            self.manifest_delta_pages.load(Ordering::Relaxed),
+        );
+        set.counter(
+            "backlog_manifest_rollovers_total",
+            self.manifest_rollovers.load(Ordering::Relaxed),
+        );
+        set.gauge(
+            "backlog_manifest_log_pages",
+            self.manifest_log_pages.load(Ordering::Relaxed) as f64,
+        );
+        set
     }
 
     /// The engine-layer histogram family as a metric set.
@@ -154,6 +215,7 @@ impl EngineObs {
         if let Some(j) = journal {
             set.extend(journal_metrics(j));
         }
+        set.extend(self.manifest_metrics());
         set.extend(self.histogram_metrics());
         set.counter(
             "backlog_trace_events_dropped_total",
@@ -242,6 +304,11 @@ pub fn cp_report_metrics(r: &CpReport) -> MetricSet {
     set.counter("backlog_cp_phase_barrier_ns_scalar", r.phases.barrier);
     set.counter("backlog_cp_phase_flip_ns_scalar", r.phases.flip);
     set.counter("backlog_cp_phase_retire_ns_scalar", r.phases.retire);
+    set.counter("backlog_cp_manifest_pages", r.manifest_pages);
+    set.counter(
+        "backlog_cp_manifest_base",
+        u64::from(r.manifest_kind == Some(ManifestKind::Base)),
+    );
     set
 }
 
@@ -364,6 +431,24 @@ mod tests {
             Some(MetricValue::Hist(_))
         ));
         assert!(set.get("backlog_trace_events_dropped_total").is_some());
+        obs.record_manifest_frame(ManifestKind::Base, 5, false, 5);
+        obs.record_manifest_frame(ManifestKind::Delta, 1, false, 6);
+        obs.record_manifest_frame(ManifestKind::Base, 7, true, 7);
+        let set = obs.registry(&stats, &io, Some(&journal));
+        for (name, want) in [
+            (
+                "backlog_manifest_base_pages_total",
+                MetricValue::Counter(12),
+            ),
+            (
+                "backlog_manifest_delta_pages_total",
+                MetricValue::Counter(1),
+            ),
+            ("backlog_manifest_rollovers_total", MetricValue::Counter(1)),
+            ("backlog_manifest_log_pages", MetricValue::Gauge(7.0)),
+        ] {
+            assert_eq!(set.get(name), Some(&want), "{name}");
+        }
         // The JSON export of a full registry must parse.
         assert!(obs::Json::parse(&set.to_json()).is_ok());
     }

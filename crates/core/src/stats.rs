@@ -84,27 +84,72 @@ pub struct CpReport {
     /// observability clock (nanoseconds when timing is enabled,
     /// deterministic ticks under the simulator).
     pub phases: CpPhaseNs,
+    /// Pages of `pages_written` that went to the manifest log (zero for
+    /// non-durable engines) — the CP's metadata cost, as opposed to the run
+    /// pages and the one superblock page.
+    pub manifest_pages: u64,
+    /// Which kind of manifest-log frame this CP wrote; `None` for
+    /// non-durable engines.
+    pub manifest_kind: Option<ManifestKind>,
+}
+
+/// The two kinds of frame a durable consistency point can write to the
+/// manifest log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ManifestKind {
+    /// A full description of the database, opening a new log: the engine's
+    /// first CP, the first CP after `open`, the CP after a failed one, and
+    /// a rollover when the next delta no longer fits in the log.
+    Base,
+    /// What changed since the previous durable CP, appended to the log.
+    Delta,
+}
+
+/// The shape of the manifest log the newest durable superblock points at
+/// (see [`BacklogEngine::manifest_log`](crate::BacklogEngine::manifest_log)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ManifestLogStats {
+    /// Pages of the log's base frame.
+    pub base_pages: u64,
+    /// Delta frames appended after the base.
+    pub delta_frames: u64,
+    /// Pages those delta frames occupy.
+    pub delta_pages: u64,
+    /// Pages reserved for the log (its one extent).
+    pub reserved_pages: u64,
+    /// The kind of frame the most recent durable CP *attempt* chose to
+    /// write, whether or not that CP then succeeded (`None` before the
+    /// first attempt and after `open`).
+    pub last_attempt: Option<ManifestKind>,
+}
+
+impl ManifestLogStats {
+    /// Pages of the log a reopen has to read: the base plus every delta.
+    pub fn log_pages(&self) -> u64 {
+        self.base_pages + self.delta_pages
+    }
 }
 
 /// Per-phase durations of one consistency point.
 ///
 /// The five phases partition [`CpReport::flush_ns`]: `prepare` covers
-/// kicking off the three table flushes, `flush` the pipelined
-/// table+manifest writes and their drain, `barrier` the single pre-flip
+/// kicking off the three table flushes, `flush` the pipelined table and
+/// manifest-frame writes and their drain, `barrier` the single pre-flip
 /// device flush, `flip` the superblock write plus post-flip hardening,
-/// and `retire` old-manifest deletion, freed-block commit and journal
+/// and `retire` retired-log deletion, freed-block commit and journal
 /// truncation. Non-durable engines only populate `prepare` and `flush`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CpPhaseNs {
     /// Kicking off the per-table prepare flushes.
     pub prepare: u64,
-    /// Pipelined table + manifest writes, including the wait-all drain.
+    /// Pipelined table + manifest-frame writes, including the wait-all drain.
     pub flush: u64,
     /// The single pre-flip flush barrier.
     pub barrier: u64,
     /// Superblock flip and post-flip hardening flush.
     pub flip: u64,
-    /// Old-manifest delete, freed-block commit, journal tail truncation.
+    /// Old-log delete (after a base frame), freed-block commit, journal
+    /// tail truncation.
     pub retire: u64,
 }
 

@@ -229,13 +229,13 @@ impl BacklogProvider {
     }
 
     /// Creates a provider around a *durable* engine on an empty device:
-    /// every consistency point writes a CP manifest and flips the
+    /// every consistency point appends a manifest-log frame and flips the
     /// superblock, so the provider can later be [`reopen`](Self::reopen)ed
     /// from the same device after a crash or clean shutdown.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors from writing the initial manifest.
+    /// Propagates engine errors from writing the initial manifest frame.
     pub fn create_durable(device: Arc<dyn Device>, config: BacklogConfig) -> Result<Self> {
         Ok(BacklogProvider {
             engine: BacklogEngine::create_durable(device, config)

@@ -7,7 +7,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use blockdev::{Completion, FileId, FileMap, FileStore, PAGE_SIZE};
+use blockdev::{Completion, FileId, FileMap, FileStore, PersistedFile, PAGE_SIZE};
 
 use crate::bloom::{BloomConfig, BloomFilter};
 use crate::error::{LsmError, Result};
@@ -183,6 +183,14 @@ impl<R: Record> Run<R> {
             bloom_entries: self.bloom.entries() as u64,
             bloom_words: self.bloom.words().to_vec(),
         }
+    }
+
+    /// The backing file's durable description (extents and lengths), the
+    /// other half of what a manifest records per run. Answered from the
+    /// run's own extent-map snapshot — the file is immutable once built —
+    /// so it costs no file-store lock.
+    pub fn persisted_file(&self) -> PersistedFile {
+        self.map.persisted(self.file)
     }
 
     /// Reopens a run from a [`RunMeta`] recorded at the last consistency

@@ -180,10 +180,27 @@ impl<R: Record> PartitionSnapshot<R> {
         self.runs.iter().map(|r| r.len()).sum()
     }
 
-    /// Captures this snapshot's durable description for a consistency-point
-    /// manifest. The caller must keep the snapshot alive until the manifest
-    /// is durably on disk: the snapshot's `Arc`s are what stop a concurrent
-    /// rebuild commit from deleting the referenced run files mid-write.
+    /// Whether `self` and `other` hold the very same installed run list —
+    /// an O(1) pointer comparison. Every change to a partition's runs
+    /// installs a new list while another snapshot of the old one is alive
+    /// (the lists are copy-on-write), so as long as the caller keeps `other`
+    /// alive, `true` means no run was added or removed since it was taken.
+    /// `false` only means "look closer": the lists may still be equal.
+    pub fn same_runs(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.runs, &other.runs)
+    }
+
+    /// Whether `self` and `other` hold the very same deletion vector (see
+    /// [`same_runs`](Self::same_runs) for what the answer means).
+    pub fn same_deletions(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.deletions, &other.deletions)
+    }
+
+    /// Captures this snapshot's full durable description — every run's
+    /// [`RunMeta`] (Bloom words included) and every deletion mark — in the
+    /// form [`LsmTable::open_from_manifest`] takes back. This walks and
+    /// copies the whole partition; a writer that only needs what changed
+    /// compares snapshots ([`same_runs`](Self::same_runs)) instead.
     pub fn manifest(&self) -> PartitionManifest<R> {
         PartitionManifest {
             runs: self.runs.iter().map(|r| r.meta()).collect(),
@@ -230,9 +247,10 @@ impl<R: Record> PartitionSnapshot<R> {
 ///   built run files and returns every staged record to its shard — the
 ///   table is exactly as if the flush had never been attempted.
 ///
-/// The handle holds the table's flush lock for its whole lifetime, and its
-/// [`run_metas`](Self::run_metas) pin the built runs so a consistency-point
-/// manifest can reference them before they are visible to queries.
+/// The handle holds the table's flush lock for its whole lifetime, and
+/// [`built_runs`](Self::built_runs) exposes the built runs so a
+/// consistency-point manifest can reference them before they are visible to
+/// queries.
 #[must_use = "a prepared flush must be committed, or dropped to abort"]
 #[derive(Debug)]
 pub struct PreparedFlush<'a, R: Record> {
@@ -263,16 +281,13 @@ impl<R: Record> PreparedFlush<'_, R> {
         self.built.is_empty() && self.staged.is_empty()
     }
 
-    /// The durable descriptions of the built runs, ascending by partition —
-    /// what a consistency-point manifest appends to each partition's
-    /// installed-run list (newest last) so the flushed records survive a
-    /// crash that lands after the superblock flip but before any in-memory
-    /// commit.
-    pub fn run_metas(&self) -> Vec<(u32, RunMeta)> {
-        self.built
-            .iter()
-            .map(|(pidx, run)| (*pidx, run.meta()))
-            .collect()
+    /// The built-but-uninstalled runs as `(partition, run)`, ascending by
+    /// partition — what a consistency-point manifest appends to each
+    /// partition's installed-run list (newest last) so the flushed records
+    /// survive a crash that lands after the superblock flip but before any
+    /// in-memory commit.
+    pub fn built_runs(&self) -> &[(u32, Run<R>)] {
+        &self.built
     }
 
     /// Waits for every in-flight run-page write submitted by
@@ -1457,8 +1472,8 @@ mod tests {
         assert_eq!(t.ws_len(), 100);
         assert_eq!(t.scan_all().unwrap().len(), 100);
         assert_eq!(prep.stats().records_flushed, 100);
-        assert_eq!(prep.run_metas().len(), 1);
-        assert_eq!(prep.run_metas()[0].1.records, 100);
+        assert_eq!(prep.built_runs().len(), 1);
+        assert_eq!(prep.built_runs()[0].1.len(), 100);
         let stats = prep.commit();
         assert_eq!(stats.records_flushed, 100);
         assert_eq!(t.run_count(), 1);

@@ -15,13 +15,13 @@ pub mod spans {
 
     /// CP: prepare-flush of the three tables (begin/end).
     pub const CP_PREPARE: SpanId = SpanId(1);
-    /// CP: draining the pipelined table+manifest writes (begin/end).
+    /// CP: draining the pipelined table + manifest-frame writes (begin/end).
     pub const CP_FLUSH: SpanId = SpanId(2);
     /// CP: the single pre-flip flush barrier (begin/end).
     pub const CP_BARRIER: SpanId = SpanId(3);
     /// CP: superblock flip + post-flip hardening (begin/end).
     pub const CP_FLIP: SpanId = SpanId(4);
-    /// CP: retiring the old manifest, freed blocks, journal tail (begin/end).
+    /// CP: retiring a rolled-over log, freed blocks, journal tail (begin/end).
     pub const CP_RETIRE: SpanId = SpanId(5);
     /// CP: the whole consistency point (begin/end; a = CP number).
     pub const CP_TOTAL: SpanId = SpanId(6);

@@ -1,5 +1,6 @@
 //! Scenario outcomes and the seed-matrix report.
 
+use backlog::ManifestKind;
 use blockdev::{IoStatsSnapshot, PowerCutReport};
 
 /// Did the recovered engine match the never-crashed reference?
@@ -36,6 +37,11 @@ pub struct ScenarioOutcome {
     /// fault point lay beyond the CP — or the crash targeted a group
     /// commit: a clean-shutdown schedule for the CP path).
     pub crashed_mid_cp: bool,
+    /// The manifest-log frame the CP that died mid-write was writing: a
+    /// delta appended to the live log, or a base opening a new one (after
+    /// an earlier failed CP, or a rollover). `None` when no CP died, or it
+    /// died before choosing.
+    pub crashed_cp_frame: Option<ManifestKind>,
     /// Whether a final journal group commit died mid-write.
     pub crashed_mid_commit: bool,
     /// Page fates at the power cut.
@@ -79,12 +85,13 @@ impl ScenarioOutcome {
             Verdict::Fail { detail } => format!("FAIL [{detail}]"),
         };
         format!(
-            "seed=0x{:016x} steps={} crashed_mid_cp={} crashed_mid_commit={} \
+            "seed=0x{:016x} steps={} crashed_mid_cp={} cp_frame={:?} crashed_mid_commit={} \
              cut(persisted={},torn={},lost={}) acked_lsn={} recovered_lsn={} \
              journal_replayed={} digest=0x{:016x} trace=0x{:016x} {}",
             self.seed,
             self.steps,
             self.crashed_mid_cp,
+            self.crashed_cp_frame,
             self.crashed_mid_commit,
             self.cut.persisted,
             self.cut.torn,
@@ -126,6 +133,24 @@ impl MatrixReport {
     /// Scenarios that crashed mid-CP (the interesting schedules).
     pub fn mid_cp_crashes(&self) -> usize {
         self.outcomes.iter().filter(|o| o.crashed_mid_cp).count()
+    }
+
+    /// Scenarios whose mid-CP crash landed in a CP appending a delta frame.
+    pub fn mid_delta_cp_crashes(&self) -> usize {
+        self.crashes_writing(ManifestKind::Delta)
+    }
+
+    /// Scenarios whose mid-CP crash landed in a CP writing a base frame
+    /// into a new log (the CP after a failed one, or a rollover).
+    pub fn mid_base_cp_crashes(&self) -> usize {
+        self.crashes_writing(ManifestKind::Base)
+    }
+
+    fn crashes_writing(&self, kind: ManifestKind) -> usize {
+        self.outcomes
+            .iter()
+            .filter(|o| o.crashed_mid_cp && o.crashed_cp_frame == Some(kind))
+            .count()
     }
 
     /// Scenarios that crashed mid-group-commit.

@@ -294,6 +294,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     // cached pages persist, tear, or vanish per the plan.
     // ------------------------------------------------------------------
     device.set_fault_profile(None);
+    let mut crashed_cp_frame = None;
     let (crashed_mid_cp, crashed_mid_commit) = match cfg.crash.kind {
         CrashKind::ConsistencyPoint => {
             device.fail_writes_after(cfg.crash.fault_after_writes);
@@ -303,6 +304,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
                 script.push(ScriptOp::Cp);
                 cp_acked_lsn = lsn;
                 meta_log.clear();
+            } else {
+                crashed_cp_frame = live.manifest_log().last_attempt;
             }
             (attempt.is_err(), false)
         }
@@ -480,6 +483,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
         verdict,
         steps: cfg.steps,
         crashed_mid_cp,
+        crashed_cp_frame,
         crashed_mid_commit,
         cut,
         acked_lsn,
@@ -499,7 +503,10 @@ mod tests {
 
     #[test]
     fn small_seed_matrix_passes() {
-        let report = run_matrix(&(0..32u64).collect::<Vec<_>>());
+        // 64 seeds: few scenarios die mid-CP (a CP is a handful of writes,
+        // the fault point is drawn from 0..48), and both kinds of dying CP
+        // must show up.
+        let report = run_matrix(&(0..64u64).collect::<Vec<_>>());
         for o in &report.outcomes {
             assert!(o.passed(), "{}", o.repro_line());
         }
@@ -510,6 +517,14 @@ mod tests {
         assert!(
             report.mid_commit_crashes() > 0,
             "at least one scenario must crash mid-group-commit"
+        );
+        assert!(
+            report.mid_delta_cp_crashes() > 0,
+            "at least one mid-CP crash must land in a delta CP"
+        );
+        assert!(
+            report.mid_base_cp_crashes() > 0,
+            "at least one mid-CP crash must land in a base or rollover CP"
         );
     }
 

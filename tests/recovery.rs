@@ -6,8 +6,11 @@
 //!
 //! * a clean reopen after a consistency point reproduces the engine exactly
 //!   (tables, counters, lineage, queries);
-//! * a crash at *any* write of a CP — run pages, manifest pages, the
-//!   superblock itself — reopens to the previous durable CP;
+//! * a crash at *any* write of a CP — run pages, manifest-log frame pages,
+//!   the superblock itself — reopens to the previous durable CP, wherever
+//!   in its log that CP sits (base, mid-chain delta, rollover);
+//! * a failed CP is followed by a base frame in a new log, and then by
+//!   deltas again;
 //! * with journaling enabled, the on-device journal ring recovers every
 //!   group-committed post-CP operation from raw device contents alone — no
 //!   host NVRAM handoff — including crashes at any write of a group commit
@@ -16,7 +19,9 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use backlog::{BacklogConfig, BacklogEngine, BacklogError, ExpectedRef, LineId, Owner};
+use backlog::{
+    BacklogConfig, BacklogEngine, BacklogError, ExpectedRef, LineId, ManifestKind, Owner,
+};
 use blockdev::{
     Device, DeviceConfig, FaultProfile, PowerCutProfile, SimDisk, Superblock, SUPERBLOCK_PAGES,
 };
@@ -229,7 +234,7 @@ fn corrupt_newest_superblock_falls_back_to_previous_generation() {
 fn fault_walk_every_write_of_a_cp_recovers_to_previous_cp_plus_journal() {
     let journaled = config().with_journaling();
     // One full run without faults tells us how many writes the final CP
-    // performs (runs for three tables + manifest pages + superblock).
+    // performs (runs for three tables + manifest frame pages + superblock).
     let probe = disk();
     let engine = BacklogEngine::create_durable(probe.clone(), journaled.clone()).unwrap();
     rich_workload(&engine);
@@ -240,7 +245,7 @@ fn fault_walk_every_write_of_a_cp_recovers_to_previous_cp_plus_journal() {
     let cp_writes = probe.stats().snapshot().page_writes - writes_before;
     assert!(
         cp_writes >= 4,
-        "the walk must cover run, manifest and superblock writes, got {cp_writes}"
+        "the walk must cover run, frame and superblock writes, got {cp_writes}"
     );
     drop(engine);
 
@@ -914,4 +919,433 @@ fn reference_and_durable_engines_agree_under_mixed_lineage_workload() {
     drop(durable);
     let durable = BacklogEngine::open(device, cfg).unwrap();
     assert_engines_equivalent(&durable, &reference, 3_600, "final reopen");
+}
+
+// ---------------------------------------------------------------------
+// The manifest log: recovery at every chain position
+// ---------------------------------------------------------------------
+
+/// One CP interval of the chain workload, in two parts. `unjournaled` is
+/// work the callback journal does not carry — a relocation, a maintenance
+/// pass — which a crash before the interval's CP legitimately loses;
+/// `callbacks` are the interval's journaled reference operations.
+fn chain_unjournaled(engine: &BacklogEngine, step: u64) {
+    match step {
+        // Leaves deletion marks behind for step 3's maintenance to consume.
+        2 => {
+            engine.relocate_block(150, 3_900).unwrap();
+        }
+        3 => {
+            engine.maintenance().unwrap();
+        }
+        _ => {}
+    }
+}
+
+fn chain_callbacks(engine: &BacklogEngine, step: u64) {
+    match step {
+        0 => {
+            for block in 0..300u64 {
+                engine.add_reference(block, owner(1 + block % 7, block));
+            }
+        }
+        1 => {
+            for block in 0..100u64 {
+                engine.remove_reference(block, owner(1 + block % 7, block));
+            }
+            for block in 1_000..1_100u64 {
+                engine.add_reference(block, owner(2, block));
+            }
+        }
+        2 => {
+            for block in 2_000..2_100u64 {
+                engine.add_reference(block, owner(6, block));
+            }
+        }
+        3 => {
+            for block in 2_100..2_150u64 {
+                engine.add_reference(block, owner(6, block));
+            }
+        }
+        n => {
+            for block in 3_000 + 10 * n..3_010 + 10 * n {
+                engine.add_reference(block, owner(3, block));
+            }
+        }
+    }
+}
+
+/// Runs chain steps `0..upto` to completion (CP included) and returns each
+/// CP's manifest kind.
+fn chain_run(engine: &BacklogEngine, upto: u64) -> Vec<Option<ManifestKind>> {
+    (0..upto)
+        .map(|step| {
+            chain_unjournaled(engine, step);
+            chain_callbacks(engine, step);
+            engine.consistency_point().unwrap().manifest_kind
+        })
+        .collect()
+}
+
+/// The first chain step whose CP no longer fits its delta into the log and
+/// rolls over to a new base.
+fn chain_rollover_step() -> u64 {
+    let engine = BacklogEngine::create_durable(disk(), config().with_journaling()).unwrap();
+    let kinds = chain_run(&engine, 40);
+    assert_eq!(
+        &kinds[..4],
+        &[Some(ManifestKind::Delta); 4],
+        "the engine's base is written at creation; the first CPs append"
+    );
+    let step = kinds
+        .iter()
+        .position(|&k| k == Some(ManifestKind::Base))
+        .expect("40 CPs must overflow an 8-page log") as u64;
+    assert_eq!(
+        kinds[step as usize + 1],
+        Some(ManifestKind::Delta),
+        "a rollover is followed by deltas"
+    );
+    step
+}
+
+/// Tentpole fault walk: every device write of a delta CP, of three
+/// consecutive ones, of the delta that follows a maintenance pass (runs
+/// removed and added, a deletion vector cleared) and of a rollover CP is
+/// failed in turn. Each failure is followed by a power cut that discards,
+/// partly persists, or tears what the dead CP left in the write cache — so
+/// half-written frames land beyond the log's valid prefix — and the device
+/// must reopen to *previous CP + journal* exactly. Independently, the live
+/// engine must recover from the failure by writing a base frame into a new
+/// log, and then append deltas to it again.
+#[test]
+fn fault_walk_over_the_manifest_chain_recovers_at_every_position() {
+    let journaled = config().with_journaling();
+    let rollover = chain_rollover_step();
+    let cuts = |salt: u64| {
+        [
+            ("lose-all", PowerCutProfile::lose_all(salt)),
+            (
+                "persist-some",
+                PowerCutProfile {
+                    seed: salt,
+                    persist: 0.5,
+                    torn: 0.0,
+                },
+            ),
+            (
+                "torn",
+                PowerCutProfile {
+                    seed: salt,
+                    persist: 0.3,
+                    torn: 0.6,
+                },
+            ),
+        ]
+    };
+    // Brings a fresh durable engine to the brink of `target`'s CP: earlier
+    // steps durable, the target interval applied and its callbacks fenced
+    // into the journal ring.
+    let prepare = |target: u64| {
+        let device = disk();
+        device.set_write_cache(true);
+        let engine = BacklogEngine::create_durable(device.clone(), journaled.clone()).unwrap();
+        chain_run(&engine, target);
+        chain_unjournaled(&engine, target);
+        chain_callbacks(&engine, target);
+        engine.journal_sync().unwrap();
+        (device, engine)
+    };
+    for target in [1, 2, 3, rollover] {
+        let want_kind = if target == rollover {
+            ManifestKind::Base
+        } else {
+            ManifestKind::Delta
+        };
+        let (probe, engine) = prepare(target);
+        let writes_before = probe.stats().snapshot().page_writes;
+        let report = engine.consistency_point().unwrap();
+        assert_eq!(report.manifest_kind, Some(want_kind), "step {target}");
+        let cp_writes = probe.stats().snapshot().page_writes - writes_before;
+        assert!(cp_writes >= 3, "step {target}: runs + frame + superblock");
+        drop(engine);
+
+        // Previous CP + journal: the target's unjournaled work is lost with
+        // the crash, its callbacks come back from the ring.
+        let crashed = BacklogEngine::new_simulated(journaled.clone());
+        chain_run(&crashed, target);
+        chain_callbacks(&crashed, target);
+        // No crash: everything applied, the CP retried, one more interval.
+        let retried = BacklogEngine::new_simulated(journaled.clone());
+        chain_run(&retried, target + 2);
+
+        for fail_after in 0..cp_writes {
+            let context = format!("step {target}, fault at write {fail_after}");
+            for (name, cut) in cuts(target * 1_000 + fail_after) {
+                let (device, engine) = prepare(target);
+                let generation = engine.superblock_generation();
+                device.fail_writes_after(fail_after);
+                assert!(engine.consistency_point().is_err(), "{context}");
+                assert_eq!(engine.manifest_log().last_attempt, Some(want_kind));
+                device.clear_write_fault();
+                drop(engine);
+                device.power_cut(&cut);
+                let reopened = BacklogEngine::open(device, journaled.clone())
+                    .unwrap_or_else(|e| panic!("{context}, {name} cut: {e}"));
+                assert_eq!(
+                    reopened.superblock_generation(),
+                    generation,
+                    "{context}, {name} cut: must reopen to the previous CP"
+                );
+                assert!(reopened.replay_recovered_journal().unwrap().applied > 0);
+                assert_engines_equivalent(
+                    &reopened,
+                    &crashed,
+                    4_000,
+                    &format!("{context}, {name} cut"),
+                );
+                // The chain is not resumed across a reopen.
+                let report = reopened.consistency_point().unwrap();
+                assert_eq!(report.manifest_kind, Some(ManifestKind::Base), "{context}");
+            }
+
+            let (device, engine) = prepare(target);
+            device.fail_writes_after(fail_after);
+            assert!(engine.consistency_point().is_err(), "{context}");
+            device.clear_write_fault();
+            let report = engine.consistency_point().unwrap();
+            assert_eq!(
+                report.manifest_kind,
+                Some(ManifestKind::Base),
+                "{context}: the CP after a failed one starts a new log"
+            );
+            chain_unjournaled(&engine, target + 1);
+            chain_callbacks(&engine, target + 1);
+            let report = engine.consistency_point().unwrap();
+            assert_eq!(
+                report.manifest_kind,
+                Some(ManifestKind::Delta),
+                "{context}: and the one after that appends to it"
+            );
+            assert!(report.manifest_pages <= 2, "{context}");
+            drop(engine);
+            device.power_cut(&PowerCutProfile::lose_all(fail_after));
+            let reopened = BacklogEngine::open(device, journaled.clone()).unwrap();
+            reopened.replay_recovered_journal().unwrap();
+            assert_engines_equivalent(&reopened, &retried, 4_000, &format!("{context}, retried"));
+        }
+    }
+}
+
+/// `open` → CP → CP → crash → `open`: the first CP of a reopened engine is
+/// a base in a new log (the recovered log is never appended to), the next
+/// one a delta, and both reopen exactly.
+#[test]
+fn first_cp_after_open_starts_a_new_log() {
+    let device = disk();
+    let reference = BacklogEngine::new_simulated(config());
+    let engine = BacklogEngine::create_durable(device.clone(), config()).unwrap();
+    chain_run(&reference, 4);
+    chain_run(&engine, 4);
+    let recovered_log = engine.manifest_log();
+    assert_eq!(recovered_log.delta_frames, 4);
+    drop(engine);
+
+    let reopened = BacklogEngine::open(device.clone(), config()).unwrap();
+    assert_eq!(
+        reopened.manifest_log(),
+        backlog::ManifestLogStats {
+            last_attempt: None,
+            ..recovered_log
+        },
+        "open reports the log it read"
+    );
+    for (step, want) in [(4, ManifestKind::Base), (5, ManifestKind::Delta)] {
+        for e in [&reopened, &reference] {
+            chain_callbacks(e, step);
+        }
+        let report = reopened.consistency_point().unwrap();
+        reference.consistency_point().unwrap();
+        assert_eq!(report.manifest_kind, Some(want), "step {step}");
+        // A crash right here reopens to this very CP.
+        let again = BacklogEngine::open(device.clone(), config()).unwrap();
+        assert_engines_equivalent(&again, &reference, 4_000, &format!("after step {step}"));
+    }
+    assert_eq!(reopened.manifest_log().delta_frames, 1);
+}
+
+/// Satellite (decode surface): every field of the superblock came off the
+/// device. FNV-1a is a checksum, not a MAC — a forged superblock with a
+/// good checksum and hostile extents, lengths or ring geometry must make
+/// `open` return `Recovery`, not overflow, abort on a giant allocation, or
+/// walk off the device.
+#[test]
+fn forged_superblock_geometry_is_rejected_not_trusted() {
+    let device = disk();
+    let engine = BacklogEngine::create_durable(device.clone(), config().with_journaling()).unwrap();
+    chain_run(&engine, 3);
+    drop(engine);
+    let good = Superblock::read_latest(&*device).unwrap().unwrap();
+    let (start, pages) = good.manifest_extents[0];
+    type Forge = Box<dyn Fn(&mut Superblock)>;
+    let forgeries: Vec<(&str, Forge)> = vec![
+        (
+            "extent length u64::MAX",
+            Box::new(|sb| sb.manifest_extents = vec![(5, u64::MAX)]),
+        ),
+        (
+            "extent start u64::MAX",
+            Box::new(|sb| sb.manifest_extents = vec![(u64::MAX, 2)]),
+        ),
+        (
+            "extents whose lengths overflow when summed",
+            Box::new(|sb| sb.manifest_extents = vec![(5, u64::MAX), (5, 2)]),
+        ),
+        (
+            "overlapping extents",
+            Box::new(move |sb| sb.manifest_extents = vec![(start, pages), (start, pages)]),
+        ),
+        (
+            "no extent at all",
+            Box::new(|sb| sb.manifest_extents.clear()),
+        ),
+        (
+            "extent past the device",
+            Box::new(|sb| sb.manifest_extents = vec![(u64::MAX - 8, 4)]),
+        ),
+        (
+            "prefix length u64::MAX",
+            Box::new(|sb| sb.manifest_len_bytes = u64::MAX),
+        ),
+        ("empty prefix", Box::new(|sb| sb.manifest_len_bytes = 0)),
+        (
+            "prefix longer than the extent",
+            Box::new(move |sb| sb.manifest_len_bytes = (pages + 1) * 4_096),
+        ),
+        (
+            "prefix cutting the last frame",
+            Box::new(|sb| sb.manifest_len_bytes -= 1),
+        ),
+        (
+            "prefix running into unwritten pages",
+            Box::new(|sb| sb.manifest_len_bytes += 2 * 4_096),
+        ),
+        (
+            "a generation the log does not end at",
+            Box::new(|sb| sb.generation += 2),
+        ),
+        (
+            "journal ring length u64::MAX",
+            Box::new(|sb| sb.journal_pages = u64::MAX),
+        ),
+        (
+            "journal ring start u64::MAX",
+            Box::new(|sb| sb.journal_start = u64::MAX),
+        ),
+    ];
+    for (what, forge) in forgeries {
+        let mut sb = good.clone();
+        // One generation up, into the slot the good copy does not occupy.
+        sb.generation += 1;
+        forge(&mut sb);
+        sb.write_to(&*device).unwrap();
+        let err = BacklogEngine::open(device.clone(), config().with_journaling()).unwrap_err();
+        assert!(
+            matches!(err, BacklogError::Recovery { .. }),
+            "{what}: {err}"
+        );
+        // Scrub the forgery: the good copy is the newest again.
+        device
+            .write_page(SUPERBLOCK_PAGES[(sb.generation % 2) as usize], &[0u8; 64])
+            .unwrap();
+        BacklogEngine::open(device.clone(), config().with_journaling()).unwrap();
+    }
+}
+
+/// Acceptance: a delta CP's metadata work and write volume follow what
+/// changed, not what is installed; and the log stays within its
+/// reservation — twice its base — however long the chain of CPs.
+#[test]
+fn delta_cps_write_what_changed_and_the_log_stays_bounded() {
+    let device = disk();
+    let cfg = BacklogConfig::partitioned(8, 8_000).without_timing();
+    let engine = BacklogEngine::create_durable(device, cfg).unwrap();
+    // 130 CPs of one record per partition: 1 040 installed runs.
+    for cp in 0..130u64 {
+        for p in 0..8u64 {
+            engine.add_reference(p * 1_000 + cp, owner(1, cp));
+        }
+        engine.consistency_point().unwrap();
+    }
+    assert!(engine.run_count() >= 1_000);
+    // One record, one run, one page of metadata — with the 1 040 runs'
+    // geometry and Bloom words left alone. (If this CP happens to be the
+    // rollover, the next one is the delta.)
+    let mut report = backlog::CpReport::default();
+    for block in [7_500, 7_501] {
+        engine.add_reference(block, owner(2, block));
+        report = engine.consistency_point().unwrap();
+        if report.manifest_kind == Some(ManifestKind::Delta) {
+            break;
+        }
+    }
+    assert_eq!(report.manifest_kind, Some(ManifestKind::Delta));
+    assert_eq!(report.runs_created, 1);
+    assert!(
+        report.manifest_pages <= 2,
+        "a one-record CP wrote {} manifest pages over {} installed runs",
+        report.manifest_pages,
+        engine.run_count()
+    );
+    assert!(
+        engine.manifest_log().base_pages > 8,
+        "the base is not small"
+    );
+
+    let mut rollovers = 0;
+    for cp in 0..500u64 {
+        engine.add_reference(cp % 8_000, owner(3, cp));
+        if cp % 60 == 59 {
+            engine.maintenance().unwrap();
+        }
+        let report = engine.consistency_point().unwrap();
+        let log = engine.manifest_log();
+        assert_eq!(log.reserved_pages, (2 * log.base_pages).max(8), "cp {cp}");
+        assert!(
+            log.log_pages() <= log.reserved_pages,
+            "cp {cp}: log of {} pages outgrew its {}-page reservation",
+            log.log_pages(),
+            log.reserved_pages
+        );
+        rollovers += u64::from(report.manifest_kind == Some(ManifestKind::Base));
+    }
+    assert!(rollovers >= 2, "500 CPs roll the log over, saw {rollovers}");
+    assert!(rollovers <= 100, "and mostly append, saw {rollovers} bases");
+}
+
+/// Retired logs and abandoned reservations go back to the allocator: over
+/// a thousand CPs (hundreds of rollovers, periodic maintenance) the device
+/// footprint stops growing.
+#[test]
+fn retired_logs_do_not_leak_across_a_thousand_cps() {
+    let device = disk();
+    let engine = BacklogEngine::create_durable(device.clone(), config()).unwrap();
+    let mut footprint = Vec::new();
+    for cp in 0..1_000u64 {
+        let block = (cp * 37) % 4_000;
+        engine.add_reference(block, owner(1 + cp % 5, cp));
+        if cp % 25 == 24 {
+            engine.maintenance().unwrap();
+        }
+        engine.consistency_point().unwrap();
+        if cp % 100 == 99 {
+            footprint.push(device.pages_written());
+        }
+    }
+    let early = footprint[2] - footprint[0];
+    let late = footprint[9] - footprint[7];
+    assert!(
+        late <= early / 4 + 8,
+        "device footprint must stabilize: distinct pages touched {footprint:?}"
+    );
 }

@@ -117,7 +117,7 @@ fn mid_group_commit_crash_recovers_acked_callbacks() {
 /// the CI smoke job runs it.
 #[test]
 fn fixed_seed_matrix_passes() {
-    let seeds: Vec<u64> = (0..32u64).map(|i| 0x51u64 * 1_000 + i).collect();
+    let seeds: Vec<u64> = (0..64u64).map(|i| 0x51u64 * 1_000 + i).collect();
     let report = run_matrix(&seeds);
     let failures = report.failures();
     assert!(
@@ -130,6 +130,14 @@ fn fixed_seed_matrix_passes() {
             .join("\n")
     );
     assert!(report.mid_cp_crashes() > 0, "matrix never crashed mid-CP");
+    assert!(
+        report.mid_delta_cp_crashes() > 0,
+        "matrix never crashed a CP that was appending a delta frame"
+    );
+    assert!(
+        report.mid_base_cp_crashes() > 0,
+        "matrix never crashed a CP that was writing a base frame (rollover or retry)"
+    );
     assert!(
         report.mid_commit_crashes() > 0,
         "matrix never crashed mid-group-commit"
