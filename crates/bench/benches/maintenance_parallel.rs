@@ -3,15 +3,17 @@
 //! with the `bench_maintenance_parallel` JSON binary so the two report
 //! comparable numbers).
 //!
-//! `BacklogEngine::maintenance_parallel(t)` fans the independent
-//! per-partition rebuilds onto `t` scoped worker threads (dirtiest partition
-//! first) while queries can keep running against pre-rebuild snapshots;
-//! `threads = 1` is the serial baseline on the calling thread.
+//! `BacklogEngine::maintain` with `MaintenancePlan::full().with_threads(t)`
+//! fans the independent per-partition rebuilds onto `t` scoped worker
+//! threads (dirtiest partition first) while queries can keep running against
+//! pre-rebuild snapshots; `threads = 1` is the serial baseline on the
+//! calling thread.
 
+use backlog::MaintenancePlan;
 use backlog_bench::maintenance_db;
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 
-fn bench_maintenance_parallel(c: &mut Criterion) {
+fn bench_parallel_maintenance(c: &mut Criterion) {
     let mut group = c.benchmark_group("maintenance_parallel");
     group.sample_size(10);
     group.measurement_time(std::time::Duration::from_secs(3));
@@ -25,7 +27,10 @@ fn bench_maintenance_parallel(c: &mut Criterion) {
             |b, &threads| {
                 b.iter_batched(
                     || maintenance_db(live, dead, partitions),
-                    |e| e.maintenance_parallel(threads).expect("maintenance failed"),
+                    |e| {
+                        e.maintain(MaintenancePlan::full().with_threads(threads))
+                            .expect("maintenance failed")
+                    },
                     BatchSize::SmallInput,
                 );
             },
@@ -34,5 +39,5 @@ fn bench_maintenance_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_maintenance_parallel);
+criterion_group!(benches, bench_parallel_maintenance);
 criterion_main!(benches);

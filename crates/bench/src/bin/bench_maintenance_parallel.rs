@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use backlog::BacklogEngine;
+use backlog::{BacklogEngine, MaintenancePlan};
 use backlog_bench::{maintenance_db_config, maintenance_db_on};
 use blockdev::{Device, DeviceConfig, FileStore, LatencyModel, SimDisk, PAGE_SIZE};
 use obs::{validate_bench_report, BenchReport};
@@ -84,8 +84,9 @@ fn main() {
         let contention_before = disk.stats().snapshot().lock_contentions;
         let t = Instant::now();
         let report = engine
-            .maintenance_parallel(threads)
-            .expect("maintenance failed");
+            .maintain(MaintenancePlan::full().with_threads(threads))
+            .expect("maintenance failed")
+            .expect("a full plan selects every partition");
         let wall_ns = t.elapsed().as_nanos() as u64;
         disk.set_latency_emulation(false);
         let contentions = disk.stats().snapshot().lock_contentions - contention_before;
@@ -115,14 +116,17 @@ fn main() {
             .counter(format!("{key}_combined_records"), report.combined_records);
         out.metrics
             .counter(format!("{key}_filestore_lock_contentions"), contentions);
-        // The per-partition rebuild-pass distribution (observability-clock
-        // units) and the device's contended-lock wait distribution.
+        // The per-partition rebuild-pass distribution and the device's
+        // contended-lock wait distribution, both stamped by the engine's
+        // observability clock and named after its unit (`ticks` here: the
+        // bench database is built `without_timing`).
+        let unit = engine.obs().unit();
         out.metrics.histogram_snapshot(
-            format!("backlog_maintenance_partition_ns_{threads}t"),
+            format!("backlog_maintenance_partition_{unit}_{threads}t"),
             engine.obs().maintenance_partition_ns.snapshot(),
         );
         out.metrics.histogram_snapshot(
-            format!("backlog_device_lock_wait_ns_{threads}t"),
+            format!("backlog_device_lock_wait_{unit}_{threads}t"),
             disk.stats().lock_wait_ns(),
         );
     }
@@ -154,7 +158,7 @@ fn main() {
             .collect();
         let t = Instant::now();
         engine
-            .maintenance_parallel(concurrent_threads)
+            .maintain(MaintenancePlan::full().with_threads(concurrent_threads))
             .expect("maintenance failed");
         maintenance_ns = t.elapsed().as_nanos() as u64;
         in_flight.store(false, Ordering::Relaxed);

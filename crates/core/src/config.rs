@@ -18,15 +18,14 @@ pub struct BacklogConfig {
     /// per-partition run builds onto (1 = flush partitions inline on the
     /// calling thread, the deterministic default).
     pub cp_flush_threads: usize,
-    /// Whether the engine journals every reference callback: each
+    /// Whether a durable engine journals every reference callback: each
     /// `add_reference` / `remove_reference` appends a
-    /// [`JournalEntry`](crate::JournalEntry), and after a crash the
-    /// surviving entries reconstruct the write-store contents the crash
-    /// destroyed. Durable engines persist the journal to an on-device ring
-    /// (group commit; recovered by `BacklogEngine::open` +
-    /// `replay_recovered_journal` with no host assistance); non-durable
-    /// engines keep the paper's in-memory NVRAM model, replayed via
-    /// [`replay_journal`](crate::replay_journal). Off by default.
+    /// [`JournalEntry`](crate::JournalEntry) to an on-device ring (group
+    /// commit), and after a crash the surviving entries reconstruct the
+    /// write-store contents the crash destroyed (`BacklogEngine::open` +
+    /// `replay_recovered_journal`, with no host assistance). Off by
+    /// default, and without effect on a non-durable engine: one that cannot
+    /// be reopened has nothing to replay a journal into.
     ///
     /// Entries are appended inside the shard critical section that
     /// publishes their records and truncated one CP late, so replay stays

@@ -1,7 +1,6 @@
 use std::cmp::Reverse;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use blockdev::{
     Completion, Device, DeviceConfig, FileId, FileStore, IoStatsSnapshot, ReservedExtent, SimDisk,
@@ -14,9 +13,9 @@ use parking_lot::{Mutex, RwLock};
 use crate::batch::{RefOp, WriteBatch};
 use crate::config::BacklogConfig;
 use crate::error::{BacklogError, Result};
-use crate::journal::{Journal, JournalEntry, JournalRing, JournalRingStats};
+use crate::journal::{JournalEntry, JournalRing, JournalRingStats};
 use crate::lineage::LineageTable;
-use crate::maintenance::{join_and_purge_streaming, reference, JoinPurgeStats};
+use crate::maintenance::{join_and_purge_streaming, reference, JoinPurgeStats, MaintenancePlan};
 use crate::manifest::{self, BuiltRuns, LogTail, TableSnapshots};
 use crate::observe::EngineObs;
 use crate::query::{assemble_query, QueryResult};
@@ -57,8 +56,8 @@ use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 ///   with callbacks: each partition's flush is build-then-swap, so a racing
 ///   callback's record lands in this CP's runs or stays buffered for the
 ///   next — never lost, never duplicated.
-///   [`consistency_point_parallel`](Self::consistency_point_parallel) fans
-///   the per-partition flushes onto scoped worker threads. A callback racing
+///   [`BacklogConfig::cp_flush_threads`] fans the per-partition flushes
+///   onto scoped worker threads. A callback racing
 ///   the CP boundary is attributed to whichever interval it lands in, exactly
 ///   as its record lands in this flush or the next; a host that needs an
 ///   operation inside CP *n* must fence it before calling
@@ -87,11 +86,11 @@ use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 /// callback to an on-device [`JournalRing`] (group commit, one flush
 /// barrier per group) whose location the superblock records, so
 /// [`open`](Self::open) recovers acknowledged callbacks from raw device
-/// contents alone and [`replay_recovered_journal`]
-/// (Self::replay_recovered_journal) re-applies them once the host has
-/// restored its lineage metadata. Non-durable engines keep the paper's
-/// host-memory NVRAM model ([`Journal`] +
-/// [`replay_journal`](crate::replay_journal)). Entries are logged inside
+/// contents alone and
+/// [`replay_recovered_journal`](Self::replay_recovered_journal) re-applies
+/// them once the host has restored its lineage metadata. The ring is the
+/// only journal: a non-durable engine can never be reopened, so
+/// `journaling` has no effect on it. Entries are logged inside
 /// the shard critical section that publishes their records and truncated
 /// one CP late, so replay is airtight even for callbacks racing the CP
 /// boundary. See the README's "Durability & recovery" and "On-device
@@ -153,10 +152,9 @@ pub struct BacklogEngine {
     /// flips the superblock (engines created via
     /// [`create_durable`](Self::create_durable) or [`open`](Self::open)).
     durable: bool,
-    /// The journal of reference callbacks, when journaling is active: an
-    /// in-memory [`Journal`] (the paper's NVRAM mirror) for non-durable
-    /// engines, an on-device [`JournalRing`] for durable ones.
-    journal: Option<EngineJournal>,
+    /// The on-device journal of reference callbacks, when this is a durable
+    /// engine with journaling active.
+    journal: Option<JournalRing>,
     /// Entries a ring scan recovered during [`open`](Self::open), waiting
     /// for [`replay_recovered_journal`](Self::replay_recovered_journal)
     /// (the host must restore its snapshot/clone metadata first, because
@@ -168,16 +166,6 @@ pub struct BacklogEngine {
     /// Flight recorder, observability clock and latency histograms (see
     /// [`EngineObs`]); the source behind [`metrics`](Self::metrics).
     obs: EngineObs,
-}
-
-/// Which journal backend this engine logs callbacks to.
-#[derive(Debug)]
-enum EngineJournal {
-    /// Host-memory journal (the NVRAM model); survives only if the host
-    /// keeps the bytes alive across the crash.
-    Memory(Mutex<Journal>),
-    /// On-device group-commit ring; survives a power cut on its own.
-    Ring(JournalRing),
 }
 
 /// Records the elapsed observability-clock time into a histogram when
@@ -262,6 +250,8 @@ impl CpCache {
 struct CpInterval {
     block_ops: u64,
     pruned: u64,
+    /// Wall-clock sum of the callback histogram (not the cumulative
+    /// [`BacklogStats::callback_ns`], which adds a recovered manifest's).
     callback_ns: u64,
     io: IoStatsSnapshot,
     /// Generation of the most recent durable superblock (0 = none yet).
@@ -281,18 +271,23 @@ struct CpInterval {
 
 /// The engine's cumulative atomic counters. `block_ops` is derived
 /// (`refs_added + refs_removed`), so a callback bumps at most two counters.
+/// The three `*_ns` totals of [`BacklogStats`] are not counted here at all:
+/// they are the sums of the [`EngineObs`] histograms that time the same
+/// scopes, on top of what a recovered manifest carried over.
 #[derive(Debug, Default)]
 struct Counters {
     refs_added: AtomicU64,
     refs_removed: AtomicU64,
     pruned_adds: AtomicU64,
     pruned_removes: AtomicU64,
-    callback_ns: AtomicU64,
     consistency_points: AtomicU64,
-    cp_flush_ns: AtomicU64,
     queries: AtomicU64,
     maintenance_runs: AtomicU64,
-    maintenance_ns: AtomicU64,
+    /// `callback_ns` / `cp_flush_ns` / `maintenance_ns` as of the durable
+    /// CP this engine was opened from (zero for a created engine).
+    recovered_callback_ns: u64,
+    recovered_cp_flush_ns: u64,
+    recovered_maintenance_ns: u64,
 }
 
 impl Counters {
@@ -303,12 +298,12 @@ impl Counters {
             refs_removed: AtomicU64::new(stats.refs_removed),
             pruned_adds: AtomicU64::new(stats.pruned_adds),
             pruned_removes: AtomicU64::new(stats.pruned_removes),
-            callback_ns: AtomicU64::new(stats.callback_ns),
             consistency_points: AtomicU64::new(stats.consistency_points),
-            cp_flush_ns: AtomicU64::new(stats.cp_flush_ns),
             queries: AtomicU64::new(stats.queries),
             maintenance_runs: AtomicU64::new(stats.maintenance_runs),
-            maintenance_ns: AtomicU64::new(stats.maintenance_ns),
+            recovered_callback_ns: stats.callback_ns,
+            recovered_cp_flush_ns: stats.cp_flush_ns,
+            recovered_maintenance_ns: stats.maintenance_ns,
         }
     }
 }
@@ -355,9 +350,6 @@ impl BacklogEngine {
         let rebuild_locks = (0..config.partitioning.partition_count())
             .map(|_| Mutex::new(()))
             .collect();
-        let journal = config
-            .journaling
-            .then(|| EngineJournal::Memory(Mutex::new(Journal::new())));
         let cp_cache = CpCache::new(config.partitioning.partition_count(), 1);
         let obs = EngineObs::new(config.track_timing);
         files
@@ -377,7 +369,7 @@ impl BacklogEngine {
             relocate_lock: Mutex::new(()),
             counters: Counters::default(),
             durable: false,
-            journal,
+            journal: None,
             recovered_journal: Mutex::new(None),
             cp_cache,
             obs,
@@ -410,20 +402,12 @@ impl BacklogEngine {
         let mut engine = Self::new(files, config);
         engine.durable = true;
         if engine.config.journaling {
-            // Durable + journaling: the journal lives on the device, in a
-            // reserved single-extent ring whose location every superblock
-            // records — recovery needs no help from the host.
-            engine.journal = Some(EngineJournal::Ring(reserve_journal_ring(
-                &engine.files,
-                &engine.config,
-            )?));
-        }
-        if let Some(EngineJournal::Ring(ring)) = &engine.journal {
-            ring.attach_obs(
-                engine.obs.recorder().clone(),
-                engine.obs.clock(),
-                engine.obs.group_commit_ns.clone(),
-            );
+            // The journal lives on the device, in a reserved single-extent
+            // ring whose location every superblock records — recovery needs
+            // no help from the host.
+            let ring = reserve_journal_ring(&engine.files, &engine.config)?;
+            engine.obs.attach_ring(&ring);
+            engine.journal = Some(ring);
         }
         let lineage = engine.lineage.read().clone();
         let stats = engine.stats();
@@ -451,8 +435,9 @@ impl BacklogEngine {
     /// consistency point. The log is not appended to afterwards: the first
     /// CP of the reopened engine starts a new log with a base frame and
     /// retires this one. Updates that post-date that CP lived only in the
-    /// in-memory write stores; recover them, if the host keeps a journal, by
-    /// replaying it ([`open_with_journal`](Self::open_with_journal)).
+    /// in-memory write stores; a journaling engine recovers the acknowledged
+    /// ones from its on-device ring
+    /// ([`replay_recovered_journal`](Self::replay_recovered_journal)).
     ///
     /// # Errors
     ///
@@ -561,15 +546,14 @@ impl BacklogEngine {
             )
             .map_err(|e| stage("journal ring scan", e))?;
             (
-                Some(EngineJournal::Ring(rec.ring)),
+                Some(rec.ring),
                 Some(RecoveredJournal {
                     entries: rec.entries,
                     last_lsn: rec.last_lsn,
                 }),
             )
         } else if config.journaling {
-            let ring = reserve_journal_ring(&files, &config)?;
-            (Some(EngineJournal::Ring(ring)), None)
+            (Some(reserve_journal_ring(&files, &config)?), None)
         } else {
             (None, None)
         };
@@ -578,12 +562,8 @@ impl BacklogEngine {
             m.lineage.current_cp(),
         );
         let obs = EngineObs::new(config.track_timing);
-        if let Some(EngineJournal::Ring(ring)) = &journal {
-            ring.attach_obs(
-                obs.recorder().clone(),
-                obs.clock(),
-                obs.group_commit_ns.clone(),
-            );
+        if let Some(ring) = &journal {
+            obs.attach_ring(ring);
         }
         files
             .device()
@@ -592,7 +572,8 @@ impl BacklogEngine {
         let interval = CpInterval {
             block_ops: m.stats.block_ops,
             pruned: m.stats.pruned_adds + m.stats.pruned_removes,
-            callback_ns: m.stats.callback_ns,
+            // This process's callback histogram starts empty.
+            callback_ns: 0,
             io: files.device().stats().snapshot(),
             sb_generation: sb.generation,
             log_file: Some(log_extent.file()),
@@ -626,32 +607,12 @@ impl BacklogEngine {
         })
     }
 
-    /// [`open`](Self::open) followed by a journal replay: the surviving
-    /// journal entries (the host's NVRAM or file-system journal) reconstruct
-    /// the write-store contents the crash destroyed, so recovery lands on
-    /// *last durable CP + journal* exactly. Returns the engine and the
-    /// number of entries applied.
-    ///
-    /// # Errors
-    ///
-    /// As for [`open`](Self::open).
-    pub fn open_with_journal(
-        device: Arc<dyn Device>,
-        config: BacklogConfig,
-        journal: &Journal,
-    ) -> Result<(Self, usize)> {
-        let engine = Self::open(device, config)?;
-        let applied = crate::journal::replay(&engine, journal)?;
-        Ok((engine, applied))
-    }
-
     /// Replays the journal entries a ring scan recovered during
     /// [`open`](Self::open), reconstructing the write-store contents the
-    /// crash destroyed — the on-device counterpart of
-    /// [`open_with_journal`](Self::open_with_journal), needing no bytes
-    /// from the host. Call it *after* restoring host-side snapshot/clone
-    /// metadata: replay consults the lineage to reconcile entries of the
-    /// boundary CP interval (see [`replay_journal`](crate::replay_journal)).
+    /// crash destroyed, needing no bytes from the host. Call it *after*
+    /// restoring host-side snapshot/clone metadata: replay consults the
+    /// lineage to reconcile entries of the boundary CP interval (see
+    /// [`replay_journal`](crate::replay_journal)).
     /// Idempotent — a second call finds nothing to do.
     ///
     /// # Errors
@@ -661,15 +622,11 @@ impl BacklogEngine {
         let stash = self.recovered_journal.lock().take();
         match stash {
             None => Ok(JournalRecovery::default()),
-            Some(stash) => {
-                let journal = Journal::from_entries(stash.entries);
-                let applied = crate::journal::replay(self, &journal)?;
-                Ok(JournalRecovery {
-                    recovered: journal.len(),
-                    applied,
-                    last_lsn: stash.last_lsn,
-                })
-            }
+            Some(stash) => Ok(JournalRecovery {
+                recovered: stash.entries.len(),
+                applied: crate::journal::replay(self, &stash.entries)?,
+                last_lsn: stash.last_lsn,
+            }),
         }
     }
 
@@ -712,9 +669,10 @@ impl BacklogEngine {
             pruned_removes: c.pruned_removes.load(Ordering::Relaxed),
             consistency_points: c.consistency_points.load(Ordering::Relaxed),
             maintenance_runs: c.maintenance_runs.load(Ordering::Relaxed),
-            callback_ns: c.callback_ns.load(Ordering::Relaxed),
-            cp_flush_ns: c.cp_flush_ns.load(Ordering::Relaxed),
-            maintenance_ns: c.maintenance_ns.load(Ordering::Relaxed),
+            callback_ns: c.recovered_callback_ns + self.obs.wall_ns(self.obs.callback_ns.sum()),
+            cp_flush_ns: c.recovered_cp_flush_ns + self.obs.wall_ns(self.obs.cp_flush_ns.sum()),
+            maintenance_ns: c.recovered_maintenance_ns
+                + self.obs.wall_ns(self.obs.maintenance_ns.sum()),
             queries: c.queries.load(Ordering::Relaxed),
         }
     }
@@ -744,14 +702,6 @@ impl BacklogEngine {
         self.device().stats().snapshot()
     }
 
-    fn now(&self) -> Option<Instant> {
-        self.config.track_timing.then(Instant::now)
-    }
-
-    fn elapsed_ns(&self, start: Option<Instant>) -> u64 {
-        start.map(|s| s.elapsed().as_nanos() as u64).unwrap_or(0)
-    }
-
     // ------------------------------------------------------------------
     // Callbacks from the file system
     // ------------------------------------------------------------------
@@ -763,13 +713,12 @@ impl BacklogEngine {
     /// touched partition's write-store shard; no disk I/O is performed until
     /// the next [`consistency_point`](Self::consistency_point).
     pub fn add_reference(&self, block: BlockNo, owner: Owner) {
-        let start = self.now();
         let t0 = self.obs.now();
         let identity = RefIdentity::new(block, owner);
         let pidx = self.config.partitioning.partition_of(block);
         let pruned;
         let mut want_commit = false;
-        if let Some(journal) = &self.journal {
+        if let Some(ring) = &self.journal {
             // Journaling logs *inside* the shard critical section: the CP
             // stamp read, the journal append and the write-store mutation
             // are atomic with respect to a CP flush draining this shard, so
@@ -780,12 +729,7 @@ impl BacklogEngine {
             let mut from = self.from_table.ws_shard(pidx);
             let mut to = self.to_table.ws_shard(pidx);
             let cp = self.cp_cache.read(pidx);
-            match journal {
-                EngineJournal::Memory(j) => j.lock().log_add(block, owner, cp),
-                EngineJournal::Ring(r) => {
-                    want_commit = r.append(JournalEntry::Add { block, owner, cp }).1;
-                }
-            }
+            want_commit = ring.append(JournalEntry::Add { block, owner, cp }).1;
             // Proactive pruning: if the same reference was removed earlier
             // in this CP interval, its To record is still in the write
             // store; removing it splices the two lifetimes back together.
@@ -814,10 +758,6 @@ impl BacklogEngine {
         self.obs
             .callback_ns
             .record(self.obs.now().saturating_sub(t0));
-        let ns = self.elapsed_ns(start);
-        if ns != 0 {
-            self.counters.callback_ns.fetch_add(ns, Ordering::Relaxed);
-        }
     }
 
     /// Records that `owner` no longer references physical block `block`.
@@ -826,23 +766,17 @@ impl BacklogEngine {
     /// [`add_reference`](Self::add_reference), the update is buffered until
     /// the next consistency point.
     pub fn remove_reference(&self, block: BlockNo, owner: Owner) {
-        let start = self.now();
         let t0 = self.obs.now();
         let identity = RefIdentity::new(block, owner);
         let pidx = self.config.partitioning.partition_of(block);
         let pruned;
         let mut want_commit = false;
-        if let Some(journal) = &self.journal {
+        if let Some(ring) = &self.journal {
             // Same critical-section discipline as `add_reference`.
             let mut from = self.from_table.ws_shard(pidx);
             let mut to = self.to_table.ws_shard(pidx);
             let cp = self.cp_cache.read(pidx);
-            match journal {
-                EngineJournal::Memory(j) => j.lock().log_remove(block, owner, cp),
-                EngineJournal::Ring(r) => {
-                    want_commit = r.append(JournalEntry::Remove { block, owner, cp }).1;
-                }
-            }
+            want_commit = ring.append(JournalEntry::Remove { block, owner, cp }).1;
             // Proactive pruning: a reference added and removed within the
             // same CP interval never needs to reach disk.
             pruned = from.remove(&FromRecord::new(identity, cp));
@@ -867,10 +801,6 @@ impl BacklogEngine {
         self.obs
             .callback_ns
             .record(self.obs.now().saturating_sub(t0));
-        let ns = self.elapsed_ns(start);
-        if ns != 0 {
-            self.counters.callback_ns.fetch_add(ns, Ordering::Relaxed);
-        }
     }
 
     /// Applies a batch of reference operations, amortizing the per-partition
@@ -888,7 +818,6 @@ impl BacklogEngine {
         if batch.is_empty() {
             return;
         }
-        let start = self.now();
         let t0 = self.obs.now();
         let mut adds = 0u64;
         let mut removes = 0u64;
@@ -901,28 +830,14 @@ impl BacklogEngine {
             // group is journaled there too — the same critical-section
             // discipline as the scalar callbacks, amortized per group.
             let cp = self.cp_cache.read(pidx);
-            match &self.journal {
-                Some(EngineJournal::Memory(j)) => {
-                    let mut j = j.lock();
-                    for op in ops {
-                        match *op {
-                            RefOp::Add { block, owner } => j.log_add(block, owner, cp),
-                            RefOp::Remove { block, owner } => j.log_remove(block, owner, cp),
-                        }
-                    }
+            if let Some(ring) = &self.journal {
+                for op in ops {
+                    let entry = match *op {
+                        RefOp::Add { block, owner } => JournalEntry::Add { block, owner, cp },
+                        RefOp::Remove { block, owner } => JournalEntry::Remove { block, owner, cp },
+                    };
+                    want_commit |= ring.append(entry).1;
                 }
-                Some(EngineJournal::Ring(r)) => {
-                    for op in ops {
-                        let entry = match *op {
-                            RefOp::Add { block, owner } => JournalEntry::Add { block, owner, cp },
-                            RefOp::Remove { block, owner } => {
-                                JournalEntry::Remove { block, owner, cp }
-                            }
-                        };
-                        want_commit |= r.append(entry).1;
-                    }
-                }
-                None => {}
             }
             for op in ops {
                 match *op {
@@ -987,14 +902,10 @@ impl BacklogEngine {
         self.obs
             .recorder()
             .mark(spans::CALLBACK, batch.len() as u64, pruned);
-        if matches!(self.journal, Some(EngineJournal::Ring(_))) {
+        if self.journal.is_some() {
             self.obs
                 .recorder()
                 .mark(spans::JOURNAL_APPEND, batch.len() as u64, 0);
-        }
-        let ns = self.elapsed_ns(start);
-        if ns != 0 {
-            self.counters.callback_ns.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
@@ -1004,25 +915,17 @@ impl BacklogEngine {
     /// [`journal_sync`](Self::journal_sync) or a consistency point, both of
     /// which surface failures.
     fn auto_commit(&self) {
-        if let Some(EngineJournal::Ring(ring)) = &self.journal {
+        if let Some(ring) = &self.journal {
             let _ = ring.sync();
         }
     }
 
     /// Takes a consistency point: writes the buffered `From`/`To` updates to
     /// new Level-0 read-store runs, advances the global CP number, and
-    /// returns per-CP overhead accounting. Flush fan-out width comes from
-    /// [`BacklogConfig::cp_flush_threads`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors from writing the run files.
-    pub fn consistency_point(&self) -> Result<CpReport> {
-        self.consistency_point_parallel(self.config.cp_flush_threads)
-    }
-
-    /// Takes a consistency point with each table's independent per-partition
-    /// flushes fanned out across `threads` scoped worker threads.
+    /// returns per-CP overhead accounting. Each table's independent
+    /// per-partition flushes fan out across
+    /// [`BacklogConfig::cp_flush_threads`] scoped worker threads (1 = inline
+    /// on the calling thread).
     ///
     /// Consistency points are serialized against each other (a second caller
     /// blocks until the first completes), but reference callbacks keep
@@ -1036,14 +939,13 @@ impl BacklogEngine {
     /// Propagates device errors from writing the run files. On error the CP
     /// number does not advance and unflushed records return to the write
     /// stores; the CP can be retried once the device recovers.
-    pub fn consistency_point_parallel(&self, threads: usize) -> Result<CpReport> {
+    pub fn consistency_point(&self) -> Result<CpReport> {
         let mut interval = self.cp_lock.lock();
         interval.log_stats.last_attempt = None;
         let io_before = self.io_snapshot();
-        let start = self.now();
-        let cp = self.lineage.read().current_cp();
-        let threads = threads.max(1);
         let cp_t0 = self.obs.now();
+        let cp = self.lineage.read().current_cp();
+        let threads = self.config.cp_flush_threads;
         let mut cp_span = self.obs.recorder().span(spans::CP_TOTAL, cp);
         let mut phases = CpPhaseNs::default();
 
@@ -1065,9 +967,9 @@ impl BacklogEngine {
         // wait before the one pre-flip barrier — not one wait-all per table.
         let prep_t0 = self.obs.now();
         let prep_span = self.obs.recorder().span(spans::CP_PREPARE, cp);
-        let mut from_prep = self.from_table.prepare_flush_async(threads)?;
-        let mut to_prep = self.to_table.prepare_flush_async(threads)?;
-        let mut combined_prep = self.combined_table.prepare_flush_async(threads)?;
+        let mut from_prep = self.from_table.prepare_flush(threads)?;
+        let mut to_prep = self.to_table.prepare_flush(threads)?;
+        let mut combined_prep = self.combined_table.prepare_flush(threads)?;
         let mut pending: Vec<Completion> = from_prep.take_pending_io();
         pending.extend(to_prep.take_pending_io());
         pending.extend(combined_prep.take_pending_io());
@@ -1116,9 +1018,9 @@ impl BacklogEngine {
         let to_flush = to_prep.commit();
         let combined_flush = combined_prep.commit();
 
-        let flush_ns = self.elapsed_ns(start);
         let io_after = self.io_snapshot();
         let io = IoDelta::between(&io_before, &io_after);
+        let cp_elapsed = self.obs.now().saturating_sub(cp_t0);
 
         // Per-interval accounting is the delta of the cumulative counters
         // against the totals recorded at the previous CP (guarded by the CP
@@ -1127,7 +1029,7 @@ impl BacklogEngine {
             + self.counters.refs_removed.load(Ordering::Relaxed);
         let pruned_now = self.counters.pruned_adds.load(Ordering::Relaxed)
             + self.counters.pruned_removes.load(Ordering::Relaxed);
-        let callback_ns_now = self.counters.callback_ns.load(Ordering::Relaxed);
+        let callback_ns_now = self.obs.wall_ns(self.obs.callback_ns.sum());
         let block_ops = ops_now.saturating_sub(interval.block_ops);
         let pruned = pruned_now.saturating_sub(interval.pruned);
 
@@ -1147,13 +1049,12 @@ impl BacklogEngine {
                 .lock_contentions
                 .saturating_sub(interval.io.lock_contentions),
             callback_ns: callback_ns_now.saturating_sub(interval.callback_ns),
-            flush_ns,
+            flush_ns: self.obs.wall_ns(cp_elapsed),
             phases,
             manifest_pages: manifest_write.map_or(0, |(_, pages)| pages),
             manifest_kind: manifest_write.map(|(kind, _)| kind),
         };
-        self.obs
-            .record_cp(self.obs.now().saturating_sub(cp_t0), &phases);
+        self.obs.record_cp(cp_elapsed, &phases);
         cp_span.set_b(report.pages_written);
 
         interval.block_ops = ops_now;
@@ -1166,20 +1067,9 @@ impl BacklogEngine {
             let next = lineage.advance_cp();
             self.cp_cache.publish(next);
         }
-        // Truncate one CP late: entries stamped `cp` itself may belong to
-        // callbacks that raced this flush and whose records are buffered for
-        // the *next* CP, so only intervals through `cp - 1` — which the
-        // previous CP's flush provably covered — are dropped. The ring's
-        // truncation committed inside `write_durable_cp`, after the flip.
-        if let Some(EngineJournal::Memory(journal)) = &self.journal {
-            journal.lock().truncate_through(cp.saturating_sub(1));
-        }
         self.counters
             .consistency_points
             .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .cp_flush_ns
-            .fetch_add(flush_ns, Ordering::Relaxed);
         Ok(report)
     }
 
@@ -1346,13 +1236,13 @@ impl BacklogEngine {
         // superblock's tail is the truncation record, atomic with the flip.
         let journal_through = lineage.current_cp().saturating_sub(2);
         let (journal_file, journal_start, journal_pages, journal_tail) = match &self.journal {
-            Some(EngineJournal::Ring(ring)) => (
+            Some(ring) => (
                 ring.file_id().0,
                 ring.start_page(),
                 ring.ring_pages(),
                 ring.prepare_truncate(journal_through),
             ),
-            _ => (0, 0, 0, (0, 0)),
+            None => (0, 0, 0, (0, 0)),
         };
         let len_bytes = first_page * PAGE_SIZE as u64 + frame.len() as u64;
         let sb = Superblock {
@@ -1436,7 +1326,7 @@ impl BacklogEngine {
         // The flip carried the ring's truncation record; only now may the
         // in-memory tail advance past the dropped groups (an aborted CP
         // above leaves the journal exactly as it was).
-        if let Some(EngineJournal::Ring(ring)) = &self.journal {
+        if let Some(ring) = &self.journal {
             ring.commit_truncate(journal_through);
         }
         drop(retire_span);
@@ -1465,20 +1355,6 @@ impl BacklogEngine {
         self.cp_lock.lock().sb_generation
     }
 
-    /// A point-in-time copy of the *in-memory* reference-callback journal —
-    /// what the host would read back from NVRAM after a crash. `None` when
-    /// journaling is disabled **or** when the journal lives in the on-device
-    /// ring (durable engines): a ring engine recovers its journal from raw
-    /// device contents via [`open`](Self::open) +
-    /// [`replay_recovered_journal`](Self::replay_recovered_journal), with no
-    /// host-kept bytes.
-    pub fn journal_snapshot(&self) -> Option<Journal> {
-        match &self.journal {
-            Some(EngineJournal::Memory(j)) => Some(j.lock().clone()),
-            _ => None,
-        }
-    }
-
     /// Group-commits every pending journal entry to the on-device ring and
     /// returns the durable LSN frontier — every entry whose LSN (as handed
     /// out by the callback's append) is at or below it will survive a power
@@ -1491,27 +1367,18 @@ impl BacklogEngine {
     /// entry is acknowledged or lost on failure, and the sync can be
     /// retried.
     pub fn journal_sync(&self) -> Result<u64> {
-        match &self.journal {
-            Some(EngineJournal::Ring(ring)) => ring.sync(),
-            _ => Ok(0),
-        }
+        self.journal.as_ref().map_or(Ok(0), JournalRing::sync)
     }
 
     /// The on-device ring's durable LSN frontier (0 without a ring).
     pub fn journal_durable_lsn(&self) -> u64 {
-        match &self.journal {
-            Some(EngineJournal::Ring(ring)) => ring.durable_lsn(),
-            _ => 0,
-        }
+        self.journal.as_ref().map_or(0, JournalRing::durable_lsn)
     }
 
     /// A point-in-time view of the on-device journal ring's internals, or
     /// `None` for engines without a ring.
     pub fn journal_ring_stats(&self) -> Option<JournalRingStats> {
-        match &self.journal {
-            Some(EngineJournal::Ring(ring)) => Some(ring.stats()),
-            _ => None,
-        }
+        self.journal.as_ref().map(JournalRing::stats)
     }
 
     // ------------------------------------------------------------------
@@ -1592,7 +1459,6 @@ impl BacklogEngine {
     /// Propagates device errors from reading run files.
     pub fn query_range(&self, min: BlockNo, max: BlockNo) -> Result<QueryResult> {
         let io_before = self.io_snapshot();
-        let start = self.now();
         let query_t0 = self.obs.now();
         let _query_span = self.obs.recorder().span(spans::QUERY_TOTAL, min);
         // Hold shared guards for the touched partitions so a concurrent
@@ -1621,13 +1487,12 @@ impl BacklogEngine {
         drop(assemble_span);
         let io = IoDelta::between(&io_before, &self.io_snapshot());
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        self.obs
-            .query_ns
-            .record(self.obs.now().saturating_sub(query_t0));
+        let elapsed = self.obs.now().saturating_sub(query_t0);
+        self.obs.query_ns.record(elapsed);
         Ok(QueryResult {
             refs,
             io_reads: io.reads,
-            elapsed_ns: self.elapsed_ns(start),
+            elapsed_ns: self.obs.wall_ns(elapsed),
         })
     }
 
@@ -1654,9 +1519,10 @@ impl BacklogEngine {
     // Maintenance
     // ------------------------------------------------------------------
 
-    /// Runs database maintenance: merges all Level-0 runs, precomputes the
-    /// Combined table (the From ⟗ To join), purges records that refer only to
-    /// deleted snapshots, and prunes the zombie list.
+    /// Runs full database maintenance: merges all Level-0 runs, precomputes
+    /// the Combined table (the From ⟗ To join), purges records that refer
+    /// only to deleted snapshots, and prunes the zombie list. This is
+    /// [`maintain`](Self::maintain) with [`MaintenancePlan::full`].
     ///
     /// The pass is a streaming pipeline, processed one partition at a time:
     ///
@@ -1687,48 +1553,82 @@ impl BacklogEngine {
     /// untouched); maintenance can simply be retried — though a retry cannot
     /// succeed on a device without the transient headroom described above.
     pub fn maintenance(&self) -> Result<MaintenanceReport> {
-        // The serial pass is the parallel pass with one worker, which runs
-        // the partition loop inline on the calling thread.
-        self.maintenance_parallel(1)
+        // A full plan selects every partition, so the pass always reports.
+        Ok(self.maintain(MaintenancePlan::full())?.unwrap_or_default())
     }
 
-    /// Runs full database maintenance with the independent per-partition
-    /// rebuilds fanned out across `threads` worker threads, while queries
-    /// keep executing against each partition's pre-rebuild snapshot.
-    ///
-    /// The paper partitions the RS files by block number precisely so that
-    /// "each partition can be processed independently"; this is the step
-    /// that cashes that in. Workers pull partitions off a shared
-    /// dirtiest-first work list (ordered by run count, then disk records) so
-    /// the stragglers are the cleanest partitions, and each worker runs the
-    /// same streaming pass as [`maintenance`](Self::maintenance):
-    /// snapshot → k-way merge → join/purge → replacement builders → atomic
-    /// three-table swap. Per-partition reports are merged into one.
-    ///
-    /// `threads` is clamped to `1..=partition_count`. With `threads == 1`
-    /// the partition loop runs inline on the calling thread (this is what
-    /// [`maintenance`](Self::maintenance) does).
+    /// Rebuilds only the partitions whose run count (summed across the three
+    /// tables) has reached `run_threshold`, dirtiest first, returning
+    /// `Ok(None)` when no partition is dirty enough — the cheap steady-state
+    /// outcome for a background maintenance loop. This is
+    /// [`maintain`](Self::maintain) with [`MaintenancePlan::if_dirty`].
     ///
     /// # Errors
     ///
-    /// Propagates the first device error any worker hits. As with the serial
-    /// pass, every partition is left either fully old or fully rebuilt
+    /// As for [`maintain`](Self::maintain).
+    pub fn maintenance_if_dirty(&self, run_threshold: u32) -> Result<Option<MaintenanceReport>> {
+        self.maintain(MaintenancePlan::if_dirty(run_threshold))
+    }
+
+    /// The one maintenance driver: rebuilds the partitions `plan` selects,
+    /// dirtiest first (most runs across the three tables, then most
+    /// disk-resident records, then lowest index), on `plan.threads` workers,
+    /// while queries keep executing against each partition's pre-rebuild
+    /// snapshot. Returns `Ok(None)` when the plan selects nothing.
+    ///
+    /// The paper partitions the RS files by block number precisely so that
+    /// "each partition can be processed independently"; this is the step
+    /// that cashes that in. Because the three tables share one partitioning,
+    /// a reference identity's records never cross partitions and each
+    /// partition can be joined, purged and swapped on its own. Workers pull
+    /// partitions off the shared work list, so bounded maintenance windows
+    /// reclaim the most garbage first and the stragglers are the cleanest
+    /// partitions; each runs the streaming pass described at
+    /// [`maintenance`](Self::maintenance): snapshot → k-way merge →
+    /// join/purge → replacement builders → atomic three-table swap, from one
+    /// point-in-time lineage copy shared by the whole run. `plan.threads` is
+    /// clamped to `1..=selected partitions`; with one worker the loop runs
+    /// inline on the calling thread.
+    ///
+    /// Zombie snapshots are pruned only by a full plan: zombie liveness is a
+    /// whole-database property, and partitions a partial plan skipped may
+    /// still hold records that a zombie keeps alive.
+    ///
+    /// # Errors
+    ///
+    /// [`BacklogError::InvalidPartition`] if the plan names a partition the
+    /// engine does not have; otherwise the first device error any worker
+    /// hits. Every partition is left either fully old or fully rebuilt
     /// (equivalently), so the database stays queryable and the pass can be
     /// retried. Zombies are pruned only when every partition succeeded.
-    pub fn maintenance_parallel(&self, threads: usize) -> Result<MaintenanceReport> {
+    pub fn maintain(&self, plan: MaintenancePlan) -> Result<Option<MaintenanceReport>> {
+        let partitions = self.config.partitioning.partition_count();
+        if let Some(partition) = plan.partition.filter(|&p| p >= partitions) {
+            return Err(BacklogError::InvalidPartition {
+                partition,
+                partitions,
+            });
+        }
+        // One consistent sample drives selection, order and `runs_merged`.
+        let selected: Vec<(u32, u32, u64)> = self
+            .partition_dirtiness()
+            .into_iter()
+            .filter(|&(p, runs, _)| {
+                plan.partition.is_none_or(|only| only == p) && runs >= plan.min_runs
+            })
+            .collect();
+        if selected.is_empty() {
+            return Ok(None);
+        }
         let io_before = self.io_snapshot();
-        let start = self.now();
         let maint_t0 = self.obs.now();
         let _maint_span = self.obs.recorder().span(spans::MAINT_TOTAL, 0);
         let bytes_before = self.database_disk_bytes();
-        let runs_before = self.run_count();
-        let partitions = self.config.partitioning.partition_count();
-        let order = self.partitions_dirtiest_first();
-        let threads = threads.clamp(1, order.len().max(1));
+        let threads = plan.threads.clamp(1, selected.len());
 
         let next = AtomicUsize::new(0);
         let totals = Mutex::new(JoinPurgeStats::default());
-        let first_error: Mutex<Option<crate::BacklogError>> = Mutex::new(None);
+        let first_error: Mutex<Option<BacklogError>> = Mutex::new(None);
         // One point-in-time lineage copy for the whole run, shared by every
         // worker's partition passes.
         let lineage = self.lineage.read().clone();
@@ -1737,7 +1637,9 @@ impl BacklogEngine {
                 break;
             }
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&pidx) = order.get(i) else { break };
+            let Some(&(pidx, _, _)) = selected.get(i) else {
+                break;
+            };
             match self.maintenance_partition_pass(pidx, &lineage) {
                 Ok(pass) => {
                     let mut t = totals.lock();
@@ -1768,128 +1670,37 @@ impl BacklogEngine {
         }
         let totals = totals.into_inner();
 
-        let zombies_pruned = self.lineage.read().prune_zombies() as u64;
-        let elapsed_ns = self.elapsed_ns(start);
+        let zombies_pruned = if plan.is_full() {
+            self.lineage.read().prune_zombies() as u64
+        } else {
+            0
+        };
         let bytes_after = self.database_disk_bytes();
-        let report = MaintenanceReport {
-            runs_merged: runs_before,
+        let io = IoDelta::between(&io_before, &self.io_snapshot());
+        let elapsed = self.obs.now().saturating_sub(maint_t0);
+        self.obs.maintenance_ns.record(elapsed);
+        self.counters
+            .maintenance_runs
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(Some(MaintenanceReport {
+            runs_merged: selected.iter().map(|&(_, runs, _)| runs).sum(),
             combined_records: totals.combined,
             incomplete_records: totals.incomplete,
             purged_records: totals.purged,
             zombies_pruned,
             bytes_before,
             bytes_after,
-            io: IoDelta::between(&io_before, &self.io_snapshot()),
-            elapsed_ns,
-            partitions,
+            io,
+            elapsed_ns: self.obs.wall_ns(elapsed),
+            partitions: selected.len() as u32,
             peak_resident_records: totals.peak_group_records,
-        };
-        self.counters
-            .maintenance_runs
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .maintenance_ns
-            .fetch_add(elapsed_ns, Ordering::Relaxed);
-        self.obs
-            .maintenance_ns
-            .record(self.obs.now().saturating_sub(maint_t0));
-        Ok(report)
-    }
-
-    /// Partition indices whose accumulated Level-0 run count (summed across
-    /// the three tables) has reached `run_threshold`, ordered dirtiest
-    /// first. A background maintainer polls this to decide *which*
-    /// partitions are worth rebuilding instead of sweeping the whole
-    /// database on a timer.
-    pub fn dirty_partitions(&self, run_threshold: u32) -> Vec<u32> {
-        self.partition_dirtiness()
-            .into_iter()
-            .filter(|&(_, runs, _)| runs >= run_threshold)
-            .map(|(p, _, _)| p)
-            .collect()
-    }
-
-    /// Rebuilds only the partitions whose run count has reached
-    /// `run_threshold` (dirtiest first), returning `Ok(None)` when no
-    /// partition is dirty enough — the cheap steady-state outcome for a
-    /// background maintenance loop.
-    ///
-    /// Like [`maintenance_partition`](Self::maintenance_partition), zombies
-    /// are not pruned: the pass is partial, and zombie liveness is a
-    /// whole-database property.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors; partitions already rebuilt keep their new
-    /// (equivalent) state, the rest stay old, and the pass can be retried.
-    pub fn maintenance_if_dirty(&self, run_threshold: u32) -> Result<Option<MaintenanceReport>> {
-        let dirty: Vec<(u32, u32, u64)> = self
-            .partition_dirtiness()
-            .into_iter()
-            .filter(|&(_, runs, _)| runs >= run_threshold)
-            .collect();
-        if dirty.is_empty() {
-            return Ok(None);
-        }
-        let io_before = self.io_snapshot();
-        let start = self.now();
-        let maint_t0 = self.obs.now();
-        let _maint_span = self.obs.recorder().span(spans::MAINT_TOTAL, 0);
-        let bytes_before = self.database_disk_bytes();
-        let mut runs_merged = 0;
-        let mut totals = JoinPurgeStats::default();
-        let lineage = self.lineage.read().clone();
-        for &(pidx, runs, _) in &dirty {
-            runs_merged += runs;
-            let pass = self.maintenance_partition_pass(pidx, &lineage)?;
-            totals.combined += pass.combined;
-            totals.incomplete += pass.incomplete;
-            totals.purged += pass.purged;
-            totals.peak_group_records = totals.peak_group_records.max(pass.peak_group_records);
-        }
-        let elapsed_ns = self.elapsed_ns(start);
-        let report = MaintenanceReport {
-            runs_merged,
-            combined_records: totals.combined,
-            incomplete_records: totals.incomplete,
-            purged_records: totals.purged,
-            zombies_pruned: 0,
-            bytes_before,
-            bytes_after: self.database_disk_bytes(),
-            io: IoDelta::between(&io_before, &self.io_snapshot()),
-            elapsed_ns,
-            partitions: dirty.len() as u32,
-            peak_resident_records: totals.peak_group_records,
-        };
-        self.counters
-            .maintenance_runs
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .maintenance_ns
-            .fetch_add(elapsed_ns, Ordering::Relaxed);
-        self.obs
-            .maintenance_ns
-            .record(self.obs.now().saturating_sub(maint_t0));
-        Ok(Some(report))
-    }
-
-    /// Partition indices ordered dirtiest first: most runs across the three
-    /// tables, ties broken by most disk-resident records, then by index for
-    /// determinism. Both the serial and the parallel maintenance paths use
-    /// this order so bounded maintenance windows reclaim the most garbage
-    /// first (and, in the parallel case, the longest rebuilds start first).
-    fn partitions_dirtiest_first(&self) -> Vec<u32> {
-        self.partition_dirtiness()
-            .into_iter()
-            .map(|(p, _, _)| p)
-            .collect()
+        }))
     }
 
     /// One consistent `(partition, runs, records)` sample per partition —
     /// run counts and record counts summed across the three tables — sorted
-    /// dirtiest first. Sampled once and threaded through the maintenance
-    /// scheduling paths so ordering, threshold filtering and `runs_merged`
-    /// accounting all agree (and each partition lock is taken once).
+    /// dirtiest first: most runs, ties broken by most disk-resident records,
+    /// then by index for determinism.
     fn partition_dirtiness(&self) -> Vec<(u32, u32, u64)> {
         let mut dirtiness: Vec<(u32, u32, u64)> = (0..self.config.partitioning.partition_count())
             .map(|p| {
@@ -1904,61 +1715,6 @@ impl BacklogEngine {
             .collect();
         dirtiness.sort_by_key(|&(p, runs, records)| (Reverse(runs), Reverse(records), p));
         dirtiness
-    }
-
-    /// Targeted maintenance of a single partition — the incremental form of
-    /// [`maintenance`](Self::maintenance). Because the three tables share one
-    /// partitioning by block number, a reference identity's records never
-    /// cross partitions and each partition can be joined, purged and swapped
-    /// independently (and, with an engine per shard, concurrently).
-    ///
-    /// Zombie snapshots are *not* pruned: zombie liveness is a
-    /// whole-database property and other partitions may still hold records
-    /// that a zombie keeps alive. Run a full pass to prune them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors; on error the partition's old runs remain
-    /// installed and queryable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` is out of range.
-    pub fn maintenance_partition(&self, partition: u32) -> Result<MaintenanceReport> {
-        let io_before = self.io_snapshot();
-        let start = self.now();
-        let maint_t0 = self.obs.now();
-        let bytes_before = self.database_disk_bytes();
-        let runs_before = self.from_table.partition_run_count(partition)
-            + self.to_table.partition_run_count(partition)
-            + self.combined_table.partition_run_count(partition);
-        let lineage = self.lineage.read().clone();
-        let pass = self.maintenance_partition_pass(partition, &lineage)?;
-        let elapsed_ns = self.elapsed_ns(start);
-        let bytes_after = self.database_disk_bytes();
-        let report = MaintenanceReport {
-            runs_merged: runs_before,
-            combined_records: pass.combined,
-            incomplete_records: pass.incomplete,
-            purged_records: pass.purged,
-            zombies_pruned: 0,
-            bytes_before,
-            bytes_after,
-            io: IoDelta::between(&io_before, &self.io_snapshot()),
-            elapsed_ns,
-            partitions: 1,
-            peak_resident_records: pass.peak_group_records,
-        };
-        self.counters
-            .maintenance_runs
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .maintenance_ns
-            .fetch_add(elapsed_ns, Ordering::Relaxed);
-        self.obs
-            .maintenance_ns
-            .record(self.obs.now().saturating_sub(maint_t0));
-        Ok(report)
     }
 
     /// Joins, purges and rebuilds one partition of all three tables,
@@ -2094,7 +1850,7 @@ impl BacklogEngine {
     /// Propagates device errors.
     pub fn maintenance_reference(&mut self) -> Result<MaintenanceReport> {
         let io_before = self.io_snapshot();
-        let start = self.now();
+        let maint_t0 = self.obs.now();
         let bytes_before = self.database_disk_bytes();
         let runs_before = self.run_count();
 
@@ -2114,9 +1870,14 @@ impl BacklogEngine {
             .replace_disk_contents(&output.combined)?;
 
         let zombies_pruned = self.lineage.read().prune_zombies() as u64;
-        let elapsed_ns = self.elapsed_ns(start);
         let bytes_after = self.database_disk_bytes();
-        let report = MaintenanceReport {
+        let io = IoDelta::between(&io_before, &self.io_snapshot());
+        let elapsed = self.obs.now().saturating_sub(maint_t0);
+        self.obs.maintenance_ns.record(elapsed);
+        self.counters
+            .maintenance_runs
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(MaintenanceReport {
             runs_merged: runs_before,
             combined_records: output.combined.len() as u64,
             incomplete_records: output.incomplete_from.len() as u64,
@@ -2124,19 +1885,12 @@ impl BacklogEngine {
             zombies_pruned,
             bytes_before,
             bytes_after,
-            io: IoDelta::between(&io_before, &self.io_snapshot()),
-            elapsed_ns,
+            io,
+            elapsed_ns: self.obs.wall_ns(elapsed),
             partitions: self.config.partitioning.partition_count(),
             peak_resident_records: peak_resident_records
                 + (output.combined.len() + output.incomplete_from.len()) as u64,
-        };
-        self.counters
-            .maintenance_runs
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .maintenance_ns
-            .fetch_add(elapsed_ns, Ordering::Relaxed);
-        Ok(report)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2282,39 +2036,25 @@ mod tests {
     }
 
     #[test]
-    fn journal_wiring_logs_callbacks_and_truncates_at_cp() {
+    fn journaling_has_no_effect_on_a_non_durable_engine() {
+        // The ring is the only journal, and only a durable engine has a
+        // device to reopen from: there is nothing to log to.
         let e = BacklogEngine::new_simulated(
             BacklogConfig::default().without_timing().with_journaling(),
         );
-        assert!(e.journal_snapshot().is_some());
         let owner = Owner::block(1, 0, LineId::ROOT);
         e.add_reference(1, owner);
-        e.remove_reference(2, owner);
         let mut batch = WriteBatch::new();
-        batch.add_reference(3, owner);
+        batch.remove_reference(2, owner);
         e.apply(&batch);
-        let j = e.journal_snapshot().unwrap();
-        assert_eq!(j.len(), 3);
-        assert!(j.entries().iter().all(|entry| entry.cp() == 1));
-        // Truncation is one CP late: entries stamped `cp` outlive the CP
-        // that flushed them and are dropped only by the next one, so a crash
-        // mid-flip can never orphan a volatile record.
+        assert_eq!(e.journal_ring_stats(), None);
+        assert_eq!(e.journal_sync(), Ok(0));
+        assert_eq!(e.journal_durable_lsn(), 0);
+        assert_eq!(e.replay_recovered_journal(), Ok(JournalRecovery::default()));
         e.consistency_point().unwrap();
-        let j = e.journal_snapshot().unwrap();
-        assert_eq!(j.len(), 3, "interval-1 entries survive their own CP");
-        // Post-CP entries carry the new CP number.
-        e.add_reference(4, owner);
-        let j = e.journal_snapshot().unwrap();
-        assert_eq!(j.entries()[3].cp(), 2);
-        e.consistency_point().unwrap();
-        let j = e.journal_snapshot().unwrap();
-        assert_eq!(j.len(), 1, "second CP drops interval-1 entries only");
-        assert_eq!(j.entries()[0].cp(), 2);
-        // Journaling off: no journal at all.
-        let plain = engine();
-        assert!(plain.journal_snapshot().is_none());
-        assert!(!plain.is_durable());
-        assert_eq!(plain.superblock_generation(), 0);
+        assert_eq!(e.journal_ring_stats(), None);
+        assert!(!e.is_durable());
+        assert_eq!(e.superblock_generation(), 0);
     }
 
     #[test]
@@ -2325,7 +2065,6 @@ mod tests {
             .with_journaling()
             .with_journal_group_size(2);
         let e = BacklogEngine::create_durable(device, config).unwrap();
-        assert!(e.journal_snapshot().is_none(), "ring, not host memory");
         let o = |i| Owner::block(1, i, LineId::ROOT);
         e.add_reference(1, o(0));
         assert_eq!(e.journal_durable_lsn(), 0, "below the group threshold");
@@ -2800,8 +2539,9 @@ mod tests {
         let runs_before_p1 = e.from_table().partition_run_count(1);
         let from_runs_before: u32 = e.from_table().run_count();
         assert!(runs_before_p1 > 1);
-        let report = e.maintenance_partition(1).unwrap();
+        let report = e.maintain(MaintenancePlan::partition(1)).unwrap().unwrap();
         assert_eq!(report.partitions, 1);
+        assert_eq!(report.zombies_pruned, 0);
         assert!(report.runs_merged >= runs_before_p1);
         // Partition 1 is compacted to at most one run per table; the other
         // partitions keep all their Level-0 runs.
@@ -2813,10 +2553,28 @@ mod tests {
         assert_eq!(all_query_results(&mut e, 400), baseline);
         // Finishing the remaining partitions equals a full pass.
         for pidx in [0u32, 2, 3] {
-            e.maintenance_partition(pidx).unwrap();
+            e.maintain(MaintenancePlan::partition(pidx)).unwrap();
         }
         assert_eq!(all_query_results(&mut e, 400), baseline);
         assert!(e.run_count() <= 8, "all partitions compacted");
+    }
+
+    #[test]
+    fn maintaining_a_partition_out_of_range_is_an_error() {
+        let mut e =
+            BacklogEngine::new_simulated(BacklogConfig::partitioned(4, 400).without_timing());
+        populate(&mut e, 400);
+        let runs = e.run_count();
+        let p = e.config().partitioning.partition_count();
+        assert_eq!(
+            e.maintain(MaintenancePlan::partition(p)),
+            Err(BacklogError::InvalidPartition {
+                partition: 4,
+                partitions: 4
+            })
+        );
+        assert_eq!(e.run_count(), runs, "nothing was rebuilt");
+        assert_eq!(e.stats().maintenance_runs, 0);
     }
 
     #[test]
@@ -2857,7 +2615,10 @@ mod tests {
         populate(&mut serial, 600);
         populate(&mut parallel, 600);
         let a = serial.maintenance().unwrap();
-        let b = parallel.maintenance_parallel(4).unwrap();
+        let b = parallel
+            .maintain(MaintenancePlan::full().with_threads(4))
+            .unwrap()
+            .unwrap();
         assert_eq!(a.combined_records, b.combined_records);
         assert_eq!(a.incomplete_records, b.incomplete_records);
         assert_eq!(a.purged_records, b.purged_records);
@@ -2883,18 +2644,19 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_parallel_with_one_thread_and_excess_threads() {
+    fn maintenance_with_zero_and_excess_threads() {
         // threads is clamped: 0 behaves like 1, and more threads than
         // partitions is fine.
         let mut e =
             BacklogEngine::new_simulated(BacklogConfig::partitioned(2, 200).without_timing());
         populate(&mut e, 200);
         let baseline = all_query_results(&mut e, 200);
-        e.maintenance_parallel(0).unwrap();
+        e.maintain(MaintenancePlan::full().with_threads(0)).unwrap();
         assert_eq!(all_query_results(&mut e, 200), baseline);
         populate(&mut e, 200);
         let baseline = all_query_results(&mut e, 200);
-        e.maintenance_parallel(64).unwrap();
+        e.maintain(MaintenancePlan::full().with_threads(64))
+            .unwrap();
         assert_eq!(all_query_results(&mut e, 200), baseline);
     }
 
@@ -2913,7 +2675,7 @@ mod tests {
         let mut failures = 0u32;
         loop {
             disk.fail_writes_after(fail_after);
-            let result = e.maintenance_parallel(3);
+            let result = e.maintain(MaintenancePlan::full().with_threads(3));
             disk.clear_write_fault();
             if result.is_ok() {
                 break;
@@ -2947,7 +2709,11 @@ mod tests {
             e.add_reference(100 + cp, Owner::block(2, cp, LineId::ROOT));
             e.consistency_point().unwrap();
         }
-        let order = e.partitions_dirtiest_first();
+        let order: Vec<u32> = e
+            .partition_dirtiness()
+            .into_iter()
+            .map(|(p, _, _)| p)
+            .collect();
         assert_eq!(order[0], 1, "dirtiest partition first, got {order:?}");
         // Ties (partitions 0, 2, 3 all have one run) break by records, then
         // by index; all partitions appear exactly once.
@@ -2995,7 +2761,11 @@ mod tests {
         // Four writer threads share &engine and add disjoint block ranges
         // (exercising different shards); every reference must be queryable
         // exactly once after the CP.
-        let e = BacklogEngine::new_simulated(BacklogConfig::partitioned(4, 4_000).without_timing());
+        let e = BacklogEngine::new_simulated(
+            BacklogConfig::partitioned(4, 4_000)
+                .without_timing()
+                .with_cp_flush_threads(2),
+        );
         std::thread::scope(|s| {
             let engine = &e;
             for w in 0..4u64 {
@@ -3013,7 +2783,7 @@ mod tests {
                 });
             }
         });
-        let report = e.consistency_point_parallel(2).unwrap();
+        let report = e.consistency_point().unwrap();
         assert_eq!(report.block_ops, 4_000);
         assert_eq!(report.records_flushed, 4_000);
         assert_eq!(e.stats().refs_added, 4_000);
@@ -3043,30 +2813,7 @@ mod tests {
     }
 
     #[test]
-    fn dirty_partitions_respect_run_threshold() {
-        let e = BacklogEngine::new_simulated(BacklogConfig::partitioned(4, 400).without_timing());
-        // Every CP touches partition 1; only the first touches the rest.
-        for cp in 0..5u64 {
-            if cp == 0 {
-                for block in 0..400u64 {
-                    e.add_reference(block, Owner::block(1, block, LineId::ROOT));
-                }
-            }
-            e.add_reference(100 + cp, Owner::block(2, cp, LineId::ROOT));
-            e.consistency_point().unwrap();
-        }
-        // Partition 1 has 5 From runs; the others 1 each.
-        assert_eq!(e.dirty_partitions(3), vec![1]);
-        assert_eq!(
-            e.dirty_partitions(1).len(),
-            4,
-            "threshold 1 marks everything"
-        );
-        assert!(e.dirty_partitions(100).is_empty());
-    }
-
-    #[test]
-    fn maintenance_if_dirty_rebuilds_only_dirty_partitions() {
+    fn maintenance_if_dirty_rebuilds_only_what_is_dirty() {
         let e = BacklogEngine::new_simulated(BacklogConfig::partitioned(4, 400).without_timing());
         for cp in 0..5u64 {
             if cp == 0 {
@@ -3080,11 +2827,14 @@ mod tests {
         let baseline: Vec<_> = (0..400u64)
             .map(|b| e.query_block(b).unwrap().refs)
             .collect();
+        // Partition 1 has 5 From runs; the others 1 each.
+        assert!(e.maintenance_if_dirty(100).unwrap().is_none());
         let report = e
             .maintenance_if_dirty(3)
             .unwrap()
             .expect("partition 1 is dirty");
         assert_eq!(report.partitions, 1, "only the dirty partition rebuilt");
+        assert_eq!(report.runs_merged, 5);
         assert!(e.from_table().partition_run_count(1) <= 1);
         assert_eq!(
             e.from_table().partition_run_count(0),
@@ -3097,6 +2847,9 @@ mod tests {
             .map(|b| e.query_block(b).unwrap().refs)
             .collect();
         assert_eq!(baseline, after, "targeted maintenance preserves queries");
+        // Threshold 1 selects every partition that holds a run at all.
+        let report = e.maintenance_if_dirty(1).unwrap().unwrap();
+        assert_eq!(report.partitions, 4);
     }
 
     #[test]
@@ -3156,6 +2909,84 @@ mod tests {
         assert_eq!(s.consistency_points, 1);
         assert_eq!(s.queries, 1, "maintenance does not count as a query");
         assert_eq!(s.maintenance_runs, 1);
+    }
+
+    #[test]
+    fn report_ns_fields_come_from_the_one_observability_clock() {
+        let run = |config: BacklogConfig| {
+            let e = BacklogEngine::new_simulated(config);
+            let mut cps = Vec::new();
+            for round in 0..3u64 {
+                let mut batch = WriteBatch::new();
+                for b in 0..50 {
+                    let block = round * 100 + b;
+                    e.add_reference(block, Owner::block(1, block, LineId::ROOT));
+                    batch.add_reference(block + 50, Owner::block(2, block, LineId::ROOT));
+                }
+                e.apply(&batch);
+                e.remove_reference(round * 100, Owner::block(1, round * 100, LineId::ROOT));
+                cps.push(e.consistency_point().unwrap());
+            }
+            let query = e.query_block(1).unwrap();
+            let maint = e.maintenance().unwrap();
+            (e, cps, query, maint)
+        };
+
+        // Wall clock: each `*_ns` field is the very sample its histogram
+        // took, so the per-CP callback times add up to the histogram's sum
+        // exactly — not approximately, as two clocks would.
+        let (e, cps, query, maint) = run(BacklogConfig::partitioned(4, 400));
+        let obs = e.obs();
+        let callback_ns: u64 = cps.iter().map(|r| r.callback_ns).sum();
+        assert!(callback_ns > 0);
+        assert_eq!(callback_ns, obs.callback_ns.sum());
+        assert_eq!(
+            cps.iter().map(|r| r.flush_ns).sum::<u64>(),
+            obs.cp_flush_ns.sum()
+        );
+        assert_eq!(query.elapsed_ns, obs.query_ns.sum());
+        assert_eq!(maint.elapsed_ns, obs.maintenance_ns.sum());
+        let stats = e.stats();
+        assert_eq!(stats.callback_ns, obs.callback_ns.sum());
+        assert_eq!(stats.cp_flush_ns, obs.cp_flush_ns.sum());
+        assert_eq!(stats.maintenance_ns, obs.maintenance_ns.sum());
+
+        // A reopened engine carries the manifest's totals forward and keeps
+        // attributing per-CP callback time from its own (fresh) histogram.
+        let device = SimDisk::new_shared(DeviceConfig::free_latency());
+        let config = BacklogConfig::default();
+        let owner = |b| Owner::block(1, b, LineId::ROOT);
+        let e = BacklogEngine::create_durable(device.clone(), config.clone()).unwrap();
+        (0..50).for_each(|b| e.add_reference(b, owner(b)));
+        e.consistency_point().unwrap();
+        let durable = e.stats();
+        assert!(durable.callback_ns > 0);
+        drop(e);
+        let e = BacklogEngine::open(device, config).unwrap();
+        assert_eq!(e.stats().callback_ns, durable.callback_ns);
+        (50..100).for_each(|b| e.add_reference(b, owner(b)));
+        let report = e.consistency_point().unwrap();
+        assert!(report.callback_ns > 0);
+        assert_eq!(report.callback_ns, e.obs().callback_ns.sum());
+        assert_eq!(
+            e.stats().callback_ns,
+            durable.callback_ns + report.callback_ns
+        );
+
+        // Tick clock: the histograms still fill (in ticks), but a tick
+        // count is not a time and never reaches a `*_ns` field.
+        let (e, cps, query, maint) = run(BacklogConfig::partitioned(4, 400).without_timing());
+        assert!(e.obs().callback_ns.sum() > 0);
+        for r in &cps {
+            assert_eq!((r.callback_ns, r.flush_ns), (0, 0));
+        }
+        assert_eq!(query.elapsed_ns, 0);
+        assert_eq!(maint.elapsed_ns, 0);
+        let stats = e.stats();
+        assert_eq!(
+            (stats.callback_ns, stats.cp_flush_ns, stats.maintenance_ns),
+            (0, 0, 0)
+        );
     }
 
     #[test]

@@ -37,6 +37,14 @@ pub enum BacklogError {
         /// Pages the pending group would need on top of the live region.
         needed_pages: u64,
     },
+    /// A [`MaintenancePlan`](crate::MaintenancePlan) named a partition the
+    /// engine's partitioning does not have.
+    InvalidPartition {
+        /// The partition index asked for.
+        partition: u32,
+        /// How many partitions the engine has.
+        partitions: u32,
+    },
 }
 
 impl fmt::Display for BacklogError {
@@ -61,6 +69,15 @@ impl fmt::Display for BacklogError {
                     "journal ring full: group needs {needed_pages} more pages \
                      than the {ring_pages}-page ring can hold before the next \
                      consistency point"
+                )
+            }
+            BacklogError::InvalidPartition {
+                partition,
+                partitions,
+            } => {
+                write!(
+                    f,
+                    "partition {partition} out of range: the engine has {partitions} partitions"
                 )
             }
         }

@@ -8,20 +8,17 @@
 //! in the journal, from which they are rebuilt by replaying the surviving
 //! entries with [`replay`].
 //!
-//! Two journal backends share the [`JournalEntry`] encoding:
-//!
-//! * [`Journal`] — the original in-memory NVRAM model, still used by
-//!   non-durable (simulated) engines and as the replay container.
-//! * [`JournalRing`] — an on-device ring in a reserved single-extent file
-//!   (BtrLog-style group commit). Callbacks append entries to an in-memory
-//!   segment; [`JournalRing::sync`] coalesces the segment into page-aligned
-//!   *groups*, writes them through the submit/completion API and makes them
-//!   durable with **one** flush barrier, however many callbacks the group
-//!   holds. Each group carries a checksummed, sequence-stamped header, so
-//!   recovery scans forward from the superblock-recorded tail and stops at
-//!   the first group that fails validation — a torn tail can only ever cost
-//!   entries that were never acknowledged as durable, because an
-//!   acknowledged group's barrier also hardened every group before it.
+//! The journal is a [`JournalRing`]: an on-device ring in a reserved
+//! single-extent file (BtrLog-style group commit), the single REDO source.
+//! Callbacks append [`JournalEntry`]s to an in-memory segment;
+//! [`JournalRing::sync`] coalesces the segment into page-aligned *groups*,
+//! writes them through the submit/completion API and makes them durable with
+//! **one** flush barrier, however many callbacks the group holds. Each group
+//! carries a checksummed, sequence-stamped header, so recovery scans forward
+//! from the superblock-recorded tail and stops at the first group that fails
+//! validation — a torn tail can only ever cost entries that were never
+//! acknowledged as durable, because an acknowledged group's barrier also
+//! hardened every group before it.
 //!
 //! Truncation is *one CP late*: the consistency point numbered `c` embeds a
 //! tail that drops only groups whose newest entry is stamped `c - 1` or
@@ -29,8 +26,7 @@
 //! publishes their records (see `BacklogEngine`), so an entry stamped `c` is
 //! flushed into runs no later than CP `c + 1` — by the time a group is
 //! truncated, every entry in it is durable in the read stores, even for
-//! unfenced concurrent callbacks. That closes the ordering gap the in-memory
-//! journal used to have.
+//! unfenced concurrent callbacks.
 
 // Decode-surface module: recovery paths must return errors, never panic
 // (enforced by `backlint` panic-free and audited by clippy here).
@@ -138,89 +134,6 @@ impl JournalEntry {
                 detail: format!("corrupt journal entry tag {other}"),
             }),
         }
-    }
-}
-
-/// An in-memory journal of the reference operations of recent CP intervals.
-/// Non-durable (simulated) engines use it as their NVRAM model; durable
-/// engines persist a [`JournalRing`] instead. It is also the container
-/// [`replay`] consumes.
-#[derive(Debug, Default, Clone)]
-pub struct Journal {
-    entries: Vec<JournalEntry>,
-}
-
-impl Journal {
-    /// Creates an empty journal.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wraps already-decoded entries (e.g. the survivors of a ring scan).
-    pub fn from_entries(entries: Vec<JournalEntry>) -> Self {
-        Journal { entries }
-    }
-
-    /// Records a reference addition.
-    pub fn log_add(&mut self, block: BlockNo, owner: Owner, cp: CpNumber) {
-        self.entries.push(JournalEntry::Add { block, owner, cp });
-    }
-
-    /// Records a reference removal.
-    pub fn log_remove(&mut self, block: BlockNo, owner: Owner, cp: CpNumber) {
-        self.entries.push(JournalEntry::Remove { block, owner, cp });
-    }
-
-    /// Drops every entry at or below `cp`. The engine calls this *one CP
-    /// late* (at durable CP `c` it truncates through `c - 1`), so an entry
-    /// is only dropped once the flush that covers its CP interval is known
-    /// durable — see the module docs.
-    pub fn truncate_through(&mut self, cp: CpNumber) {
-        self.entries.retain(|e| e.cp() > cp);
-    }
-
-    /// Number of journaled entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the journal is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The journaled entries, oldest first.
-    pub fn entries(&self) -> &[JournalEntry] {
-        &self.entries
-    }
-
-    /// Serializes the journal into a byte buffer (for writing to NVRAM or a
-    /// log device).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.entries.len() * JournalEntry::ENCODED_LEN];
-        for (i, e) in self.entries.iter().enumerate() {
-            e.encode(&mut out[i * JournalEntry::ENCODED_LEN..(i + 1) * JournalEntry::ENCODED_LEN]);
-        }
-        out
-    }
-
-    /// Reconstructs a journal from bytes produced by [`to_bytes`](Self::to_bytes).
-    /// A trailing *partial* entry (a torn write of the final append) is
-    /// ignored — that is the expected crash shape for an append-only log —
-    /// but a corrupt tag inside a complete entry is an error: everything
-    /// after it would be misframed, so the host must not trust any of it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BacklogError::Recovery`] on a corrupt entry.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut entries = Vec::new();
-        let mut at = 0;
-        while let Some(chunk) = bytes.get(at..at + JournalEntry::ENCODED_LEN) {
-            entries.push(JournalEntry::decode(chunk)?);
-            at += JournalEntry::ENCODED_LEN;
-        }
-        Ok(Journal { entries })
     }
 }
 
@@ -828,12 +741,12 @@ fn group_u64(buf: &[u8], at: usize) -> Option<u64> {
 /// # Errors
 ///
 /// Propagates query errors from the boundary-interval reconciliation reads.
-pub fn replay(engine: &BacklogEngine, journal: &Journal) -> Result<usize> {
+pub fn replay(engine: &BacklogEngine, entries: &[JournalEntry]) -> Result<usize> {
     let current = engine.current_cp();
     let boundary = current.saturating_sub(1);
     let mut applied = 0;
     let mut net: BTreeMap<(BlockNo, Owner), bool> = BTreeMap::new();
-    for entry in journal.entries() {
+    for entry in entries {
         if entry.cp() == boundary {
             match *entry {
                 JournalEntry::Add { block, owner, .. } => net.insert((block, owner), true),
@@ -852,7 +765,7 @@ pub fn replay(engine: &BacklogEngine, journal: &Journal) -> Result<usize> {
             applied += 1;
         }
     }
-    for entry in journal.entries() {
+    for entry in entries {
         if entry.cp() < current {
             continue;
         }
@@ -900,6 +813,14 @@ mod tests {
     use crate::types::LineId;
     use blockdev::{DeviceConfig, SimDisk};
 
+    fn add(block: BlockNo, owner: Owner, cp: CpNumber) -> JournalEntry {
+        JournalEntry::Add { block, owner, cp }
+    }
+
+    fn remove(block: BlockNo, owner: Owner, cp: CpNumber) -> JournalEntry {
+        JournalEntry::Remove { block, owner, cp }
+    }
+
     #[test]
     fn entry_roundtrip() {
         let add = JournalEntry::Add {
@@ -921,19 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_bytes_roundtrip_and_ignore_torn_tail() {
-        let mut j = Journal::new();
-        j.log_add(1, Owner::block(1, 0, LineId::ROOT), 3);
-        j.log_remove(2, Owner::block(1, 1, LineId::ROOT), 3);
-        let mut bytes = j.to_bytes();
-        // Simulate a torn write of a third entry.
-        bytes.extend_from_slice(&[1, 2, 3]);
-        let back = Journal::from_bytes(&bytes).unwrap();
-        assert_eq!(back.entries(), j.entries());
-        assert_eq!(back.len(), 2);
-    }
-
-    #[test]
     fn corrupt_tag_is_an_error_not_a_panic() {
         let short = [0u8; JournalEntry::ENCODED_LEN - 1];
         assert!(matches!(
@@ -950,21 +858,6 @@ mod tests {
         buf[0] = 7; // invalid tag
         let err = JournalEntry::decode(&buf).unwrap_err();
         assert!(err.to_string().contains("tag 7"), "{err}");
-    }
-
-    #[test]
-    fn corrupt_entry_mid_journal_rejects_the_whole_journal() {
-        let mut j = Journal::new();
-        j.log_add(1, Owner::block(1, 0, LineId::ROOT), 3);
-        j.log_add(2, Owner::block(1, 1, LineId::ROOT), 3);
-        let mut bytes = j.to_bytes();
-        // Corrupt the *first* entry's tag: the second entry is complete and
-        // well-formed, but nothing after a corrupt entry can be trusted.
-        bytes[0] = 0;
-        assert!(matches!(
-            Journal::from_bytes(&bytes),
-            Err(crate::BacklogError::Recovery { .. })
-        ));
     }
 
     #[test]
@@ -1021,47 +914,29 @@ mod tests {
     }
 
     #[test]
-    fn truncate_drops_durable_entries() {
-        let mut j = Journal::new();
-        j.log_add(1, Owner::block(1, 0, LineId::ROOT), 3);
-        j.log_add(2, Owner::block(1, 1, LineId::ROOT), 4);
-        j.truncate_through(3);
-        assert_eq!(j.len(), 1);
-        assert_eq!(j.entries()[0].cp(), 4);
-        assert!(!j.is_empty());
-    }
-
-    #[test]
     fn replay_restores_unflushed_write_store_contents() {
         // "Crash" scenario: build two engines that share the same durable
         // history; the first sees extra operations that never reach a CP.
         let config = BacklogConfig::default().without_timing();
         let live = BacklogEngine::new_simulated(config.clone());
-        let mut journal = Journal::new();
 
         let durable_owner = Owner::block(1, 0, LineId::ROOT);
         live.add_reference(100, durable_owner);
         live.consistency_point().unwrap();
-        journal.truncate_through(1);
 
         // Operations after the last CP: journaled but not durable.
         let lost_owner = Owner::block(2, 5, LineId::ROOT);
         live.add_reference(200, lost_owner);
         live.remove_reference(100, durable_owner);
-        journal.log_add(200, lost_owner, live.current_cp());
-        journal.log_remove(100, durable_owner, live.current_cp());
+        let cp = live.current_cp();
+        let journal = [add(200, lost_owner, cp), remove(100, durable_owner, cp)];
 
         // The "recovered" engine has only the durable state.
         let recovered = BacklogEngine::new_simulated(config);
         recovered.add_reference(100, durable_owner);
         recovered.consistency_point().unwrap();
 
-        let applied = replay(
-            &recovered,
-            &Journal::from_bytes(&journal.to_bytes()).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(applied, 2);
+        assert_eq!(replay(&recovered, &journal).unwrap(), 2);
 
         // After replay the recovered engine answers queries exactly like the
         // engine that never crashed.
@@ -1089,10 +964,11 @@ mod tests {
         engine.consistency_point().unwrap();
         let before = engine.stats();
 
-        let mut journal = Journal::new();
-        journal.log_add(1, owner, 1);
-        journal.log_add(2, transient, 1);
-        journal.log_remove(2, transient, 1);
+        let journal = [
+            add(1, owner, 1),
+            add(2, transient, 1),
+            remove(2, transient, 1),
+        ];
         assert_eq!(replay(&engine, &journal).unwrap(), 0);
         assert_eq!(engine.live_owners(1).unwrap().len(), 1);
         assert_eq!(engine.live_owners(2).unwrap().len(), 0);
@@ -1102,10 +978,8 @@ mod tests {
 
         // A boundary entry whose effect is *missing* from the durable state
         // (the unfenced-callback shape) is applied.
-        let mut missing = Journal::new();
         let raced = Owner::block(3, 2, LineId::ROOT);
-        missing.log_add(5, raced, 1);
-        assert_eq!(replay(&engine, &missing).unwrap(), 1);
+        assert_eq!(replay(&engine, &[add(5, raced, 1)]).unwrap(), 1);
         assert_eq!(engine.live_owners(5).unwrap(), vec![raced]);
     }
 
@@ -1129,10 +1003,8 @@ mod tests {
         assert!(engine.live_owners(9).unwrap().is_empty(), "masked dead");
         let before = engine.stats();
 
-        let mut journal = Journal::new();
-        journal.log_add(9, masked, boundary);
         assert_eq!(
-            replay(&engine, &journal).unwrap(),
+            replay(&engine, &[add(9, masked, boundary)]).unwrap(),
             0,
             "durable, not missing"
         );
@@ -1147,11 +1019,7 @@ mod tests {
     }
 
     fn entry(i: u64, cp: CpNumber) -> JournalEntry {
-        JournalEntry::Add {
-            block: i,
-            owner: Owner::block(1, i, LineId::ROOT),
-            cp,
-        }
+        add(i, Owner::block(1, i, LineId::ROOT), cp)
     }
 
     fn reopen(device: &Arc<SimDisk>, ring: &JournalRing, tail: (u64, u64)) -> RecoveredRing {
@@ -1332,9 +1200,8 @@ mod tests {
         let owner = Owner::block(1, 0, LineId::ROOT);
         engine.add_reference(1, owner);
         engine.consistency_point().unwrap();
-        let mut journal = Journal::new();
-        journal.log_add(1, owner, 1); // belongs to the already-durable CP 1
-        assert_eq!(replay(&engine, &journal).unwrap(), 0);
+        // The entry belongs to the already-durable CP 1.
+        assert_eq!(replay(&engine, &[add(1, owner, 1)]).unwrap(), 0);
         assert_eq!(engine.live_owners(1).unwrap().len(), 1);
     }
 }

@@ -83,9 +83,10 @@ pub use config::BacklogConfig;
 pub use engine::{BacklogEngine, JournalRecovery};
 pub use error::{BacklogError, Result};
 pub use journal::{
-    replay as replay_journal, Journal, JournalEntry, JournalRing, JournalRingStats, RecoveredRing,
+    replay as replay_journal, JournalEntry, JournalRing, JournalRingStats, RecoveredRing,
 };
 pub use lineage::{LineInfo, LineageTable};
+pub use maintenance::MaintenancePlan;
 pub use observe::EngineObs;
 pub use query::{BackRef, QueryResult};
 pub use record::{CombinedRecord, FromRecord, RefIdentity, ToRecord};

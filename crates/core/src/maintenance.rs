@@ -11,13 +11,66 @@
 //! output record by record, so maintenance never materializes a table — peak
 //! memory is one identity's history plus the consumers' output pages. The
 //! previous materialized implementation is preserved verbatim in
-//! [`reference`] as a differential-testing oracle and as the baseline the
+//! [`mod@reference`] as a differential-testing oracle and as the baseline the
 //! `maintenance_pipeline` bench measures against.
 
 use crate::lineage::LineageTable;
 use crate::query::{join_from_to, join_identity_group, sorted_cow};
 use crate::record::{CombinedRecord, FromRecord, RefIdentity, ToRecord};
 use crate::types::CP_INFINITY;
+
+/// What one [`BacklogEngine::maintain`](crate::BacklogEngine::maintain) call
+/// rebuilds, and on how many workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaintenancePlan {
+    /// Worker threads the selected partitions' rebuilds fan out across
+    /// (clamped to `1..=selected partitions`; 1 runs inline on the caller).
+    pub threads: usize,
+    /// Rebuild only partitions holding at least this many Level-0 runs,
+    /// summed across the three tables (0 selects regardless of run count).
+    pub min_runs: u32,
+    /// Rebuild only this partition (`None` considers every partition).
+    pub partition: Option<u32>,
+}
+
+impl MaintenancePlan {
+    /// Every partition, on the calling thread — a full pass, the only kind
+    /// that prunes zombie snapshots.
+    pub fn full() -> Self {
+        MaintenancePlan {
+            threads: 1,
+            min_runs: 0,
+            partition: None,
+        }
+    }
+
+    /// Only the partitions that have accumulated `min_runs` runs.
+    pub fn if_dirty(min_runs: u32) -> Self {
+        MaintenancePlan {
+            min_runs,
+            ..Self::full()
+        }
+    }
+
+    /// Only `partition`, so a host can spread maintenance over idle windows.
+    pub fn partition(partition: u32) -> Self {
+        MaintenancePlan {
+            partition: Some(partition),
+            ..Self::full()
+        }
+    }
+
+    /// The same selection on `threads` workers.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    /// Whether the plan selects every partition unconditionally.
+    pub fn is_full(&self) -> bool {
+        self.min_runs == 0 && self.partition.is_none()
+    }
+}
 
 /// The output of the join-and-purge computation: what the three tables should
 /// contain after maintenance.

@@ -956,7 +956,8 @@ mod tests {
         for b in 200..260 {
             fx.from.insert(FromRecord::new(identity(b), 4));
         }
-        let prep = fx.from.prepare_flush(1).unwrap();
+        let mut prep = fx.from.prepare_flush(1).unwrap();
+        prep.wait_io().unwrap();
         let built = BuiltRuns {
             from: prep.built_runs(),
             ..BuiltRuns::NONE

@@ -2,16 +2,20 @@
 //! the unified registry.
 //!
 //! [`EngineObs`] owns the engine's flight recorder, its observability
-//! clock, and the log-bucketed latency histograms that replace the old
-//! lossy `*_ns` sums (which remain, untouched, for compatibility).
-//! Every engine carries one; `BacklogEngine::metrics` assembles the
-//! full registry from it plus the existing counter surfaces.
+//! clock, and the log-bucketed latency histograms. Every engine carries
+//! one; `BacklogEngine::metrics` assembles the full registry from it
+//! plus the existing counter surfaces.
 //!
-//! Timing source: engines created with timing enabled stamp events from
-//! a wall-clock; engines created via `BacklogConfig::without_timing`
-//! (the simulator) stamp from a deterministic tick counter, so a trace
-//! dump is a pure function of the event sequence and byte-identical
-//! across runs of the same seed.
+//! One clock: every timed scope in the engine reads this clock once at
+//! entry and once at exit, and that one duration is both the histogram
+//! sample and — on the wall clock — the `*_ns` field of the scope's
+//! report, so the `*_ns` totals in `BacklogStats` *are* the histogram
+//! sums. Engines created with timing enabled stamp from a wall clock;
+//! engines created via `BacklogConfig::without_timing` (the simulator)
+//! stamp from a deterministic tick counter, so a trace dump is a pure
+//! function of the event sequence and byte-identical across runs of the
+//! same seed. Tick durations count clock reads, not time: they are
+//! exported under `_ticks` names and never reach a `*_ns` field.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -19,8 +23,8 @@ use std::sync::Arc;
 use blockdev::{IoStats, IoStatsSnapshot};
 use obs::{Clock, FlightRecorder, Histogram, MetricSet, MonotonicClock, TickClock};
 
-use crate::journal::JournalRingStats;
-use crate::stats::{BacklogStats, CpPhaseNs, CpReport, MaintenanceReport, ManifestKind};
+use crate::journal::{JournalRing, JournalRingStats};
+use crate::stats::{BacklogStats, CpPhaseNs, ManifestKind};
 
 /// Flight-recorder lanes (writer threads round-robin onto these).
 const RECORDER_LANES: usize = 8;
@@ -37,6 +41,8 @@ const RECORDER_SLOTS_PER_LANE: usize = 1024;
 #[derive(Debug)]
 pub struct EngineObs {
     clock: Arc<dyn Clock>,
+    /// Whether `clock` is wall time (nanoseconds) rather than ticks.
+    wall_clock: bool,
     recorder: Arc<FlightRecorder>,
     /// One add/remove/apply callback, end to end.
     pub callback_ns: Histogram,
@@ -87,6 +93,7 @@ impl EngineObs {
         ));
         EngineObs {
             clock,
+            wall_clock: track_timing,
             recorder,
             callback_ns: Histogram::new(),
             cp_flush_ns: Histogram::new(),
@@ -114,6 +121,38 @@ impl EngineObs {
     /// The clock events are stamped with.
     pub fn clock(&self) -> Arc<dyn Clock> {
         self.clock.clone()
+    }
+
+    /// The unit this bundle's clock — and so every histogram it fills —
+    /// counts in: `"ns"` on the wall clock, `"ticks"` on the simulator's
+    /// deterministic counter. Metric names carry it as their suffix.
+    pub fn unit(&self) -> &'static str {
+        if self.wall_clock {
+            "ns"
+        } else {
+            "ticks"
+        }
+    }
+
+    /// `elapsed` (a difference of two [`now`](Self::now) readings) as wall
+    /// nanoseconds: itself on the wall clock, 0 on the tick clock, whose
+    /// durations are not time. What the `*_ns` report fields are set from.
+    pub fn wall_ns(&self, elapsed: u64) -> u64 {
+        if self.wall_clock {
+            elapsed
+        } else {
+            0
+        }
+    }
+
+    /// Hooks `ring`'s group commits up to this bundle's recorder, clock and
+    /// [`group_commit_ns`](Self::group_commit_ns) histogram.
+    pub(crate) fn attach_ring(&self, ring: &JournalRing) {
+        ring.attach_obs(
+            self.recorder.clone(),
+            self.clock(),
+            self.group_commit_ns.clone(),
+        );
     }
 
     /// The engine's flight recorder.
@@ -179,23 +218,25 @@ impl EngineObs {
         set
     }
 
-    /// The engine-layer histogram family as a metric set.
+    /// The engine-layer histogram family as a metric set, each named
+    /// `backlog_<what>_<unit>` with this bundle's [`unit`](Self::unit).
     pub fn histogram_metrics(&self) -> MetricSet {
         let mut set = MetricSet::new();
-        set.histogram("backlog_callback_ns", &self.callback_ns);
-        set.histogram("backlog_cp_flush_ns", &self.cp_flush_ns);
-        set.histogram("backlog_cp_phase_prepare_ns", &self.cp_phase_prepare);
-        set.histogram("backlog_cp_phase_flush_ns", &self.cp_phase_flush);
-        set.histogram("backlog_cp_phase_barrier_ns", &self.cp_phase_barrier);
-        set.histogram("backlog_cp_phase_flip_ns", &self.cp_phase_flip);
-        set.histogram("backlog_cp_phase_retire_ns", &self.cp_phase_retire);
-        set.histogram("backlog_maintenance_ns", &self.maintenance_ns);
-        set.histogram(
-            "backlog_maintenance_partition_ns",
-            &self.maintenance_partition_ns,
-        );
-        set.histogram("backlog_query_ns", &self.query_ns);
-        set.histogram("backlog_group_commit_ns", &self.group_commit_ns);
+        for (what, hist) in [
+            ("callback", &self.callback_ns),
+            ("cp_flush", &self.cp_flush_ns),
+            ("cp_phase_prepare", &self.cp_phase_prepare),
+            ("cp_phase_flush", &self.cp_phase_flush),
+            ("cp_phase_barrier", &self.cp_phase_barrier),
+            ("cp_phase_flip", &self.cp_phase_flip),
+            ("cp_phase_retire", &self.cp_phase_retire),
+            ("maintenance", &self.maintenance_ns),
+            ("maintenance_partition", &self.maintenance_partition_ns),
+            ("query", &self.query_ns),
+            ("group_commit", &*self.group_commit_ns),
+        ] {
+            set.histogram(format!("backlog_{what}_{}", self.unit()), hist);
+        }
         set
     }
 
@@ -211,7 +252,12 @@ impl EngineObs {
         let mut set = stats_metrics(stats);
         set.extend(io_metrics(&io.snapshot()));
         set.histogram_snapshot("backlog_device_service_ns", io.service_ns());
-        set.histogram_snapshot("backlog_device_lock_wait_ns", io.lock_wait_ns());
+        // Lock waits are measured on this bundle's clock (the device's
+        // service times are modelled nanoseconds either way).
+        set.histogram_snapshot(
+            format!("backlog_device_lock_wait_{}", self.unit()),
+            io.lock_wait_ns(),
+        );
         if let Some(j) = journal {
             set.extend(journal_metrics(j));
         }
@@ -239,9 +285,6 @@ pub fn stats_metrics(s: &BacklogStats) -> MetricSet {
     );
     set.counter("backlog_engine_maintenance_runs_total", s.maintenance_runs);
     set.counter("backlog_engine_queries_total", s.queries);
-    set.counter("backlog_engine_callback_ns_total", s.callback_ns);
-    set.counter("backlog_engine_cp_flush_ns_total", s.cp_flush_ns);
-    set.counter("backlog_engine_maintenance_ns_total", s.maintenance_ns);
     set.gauge(
         "backlog_engine_micros_per_block_op",
         s.micros_per_block_op(),
@@ -285,57 +328,6 @@ pub fn journal_metrics(j: &JournalRingStats) -> MetricSet {
     set
 }
 
-/// A per-CP [`CpReport`] as registry metrics (used by bench bins to
-/// ship one CP's breakdown in the common report schema).
-pub fn cp_report_metrics(r: &CpReport) -> MetricSet {
-    let mut set = MetricSet::new();
-    set.counter("backlog_cp_number", r.cp);
-    set.counter("backlog_cp_block_ops", r.block_ops);
-    set.counter("backlog_cp_persistent_ops", r.persistent_ops);
-    set.counter("backlog_cp_records_flushed", r.records_flushed);
-    set.counter("backlog_cp_runs_created", r.runs_created as u64);
-    set.counter("backlog_cp_pages_written", r.pages_written);
-    set.counter("backlog_cp_pages_read", r.pages_read);
-    set.counter("backlog_cp_lock_contentions", r.lock_contentions);
-    set.counter("backlog_cp_callback_ns", r.callback_ns);
-    set.counter("backlog_cp_flush_ns_scalar", r.flush_ns);
-    set.counter("backlog_cp_phase_prepare_ns_scalar", r.phases.prepare);
-    set.counter("backlog_cp_phase_flush_ns_scalar", r.phases.flush);
-    set.counter("backlog_cp_phase_barrier_ns_scalar", r.phases.barrier);
-    set.counter("backlog_cp_phase_flip_ns_scalar", r.phases.flip);
-    set.counter("backlog_cp_phase_retire_ns_scalar", r.phases.retire);
-    set.counter("backlog_cp_manifest_pages", r.manifest_pages);
-    set.counter(
-        "backlog_cp_manifest_base",
-        u64::from(r.manifest_kind == Some(ManifestKind::Base)),
-    );
-    set
-}
-
-/// A [`MaintenanceReport`] as registry metrics.
-pub fn maintenance_metrics(r: &MaintenanceReport) -> MetricSet {
-    let mut set = MetricSet::new();
-    set.counter("backlog_maintenance_runs_merged", r.runs_merged as u64);
-    set.counter("backlog_maintenance_combined_records", r.combined_records);
-    set.counter(
-        "backlog_maintenance_incomplete_records",
-        r.incomplete_records,
-    );
-    set.counter("backlog_maintenance_purged_records", r.purged_records);
-    set.counter("backlog_maintenance_zombies_pruned", r.zombies_pruned);
-    set.gauge("backlog_maintenance_bytes_before", r.bytes_before as f64);
-    set.gauge("backlog_maintenance_bytes_after", r.bytes_after as f64);
-    set.counter("backlog_maintenance_page_reads", r.io.reads);
-    set.counter("backlog_maintenance_page_writes", r.io.writes);
-    set.counter("backlog_maintenance_elapsed_ns_scalar", r.elapsed_ns);
-    set.counter("backlog_maintenance_partitions", r.partitions as u64);
-    set.gauge(
-        "backlog_maintenance_peak_resident_records",
-        r.peak_resident_records as f64,
-    );
-    set
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,29 +350,43 @@ mod tests {
     }
 
     #[test]
-    fn record_cp_populates_every_phase_histogram() {
-        let obs = EngineObs::new(false);
-        let phases = CpPhaseNs {
-            prepare: 10,
-            flush: 200,
-            barrier: 30,
-            flip: 40,
-            retire: 5,
-        };
-        obs.record_cp(phases.total(), &phases);
-        let set = obs.histogram_metrics();
-        for name in [
-            "backlog_cp_flush_ns",
-            "backlog_cp_phase_prepare_ns",
-            "backlog_cp_phase_flush_ns",
-            "backlog_cp_phase_barrier_ns",
-            "backlog_cp_phase_flip_ns",
-            "backlog_cp_phase_retire_ns",
-        ] {
-            match set.get(name) {
-                Some(MetricValue::Hist(s)) => assert_eq!(s.count, 1, "{name}"),
-                other => panic!("{name}: {other:?}"),
+    fn record_cp_populates_every_phase_histogram_under_the_clocks_unit() {
+        // Wall clock: `_ns` names and durations that count as time. Tick
+        // clock: the same families as `_ticks`, nothing named `_ns`, and
+        // durations that never reach a `*_ns` field.
+        for (track_timing, unit, other) in [(true, "ns", "ticks"), (false, "ticks", "ns")] {
+            let obs = EngineObs::new(track_timing);
+            assert_eq!(obs.unit(), unit);
+            assert_eq!(obs.wall_ns(7), if track_timing { 7 } else { 0 });
+            let phases = CpPhaseNs {
+                prepare: 10,
+                flush: 200,
+                barrier: 30,
+                flip: 40,
+                retire: 5,
+            };
+            obs.record_cp(phases.total(), &phases);
+            let set = obs.histogram_metrics();
+            for what in [
+                "cp_flush",
+                "cp_phase_prepare",
+                "cp_phase_flush",
+                "cp_phase_barrier",
+                "cp_phase_flip",
+                "cp_phase_retire",
+            ] {
+                let name = format!("backlog_{what}_{unit}");
+                match set.get(&name) {
+                    Some(MetricValue::Hist(s)) => assert_eq!(s.count, 1, "{name}"),
+                    other => panic!("{name}: {other:?}"),
+                }
             }
+            assert_eq!(set.len(), 11);
+            let suffix = format!("_{other}");
+            assert!(
+                set.iter().all(|m| !m.name.ends_with(&suffix)),
+                "a {unit} clock exported a _{other} histogram"
+            );
         }
     }
 
@@ -419,7 +425,7 @@ mod tests {
             Some(&MetricValue::Gauge(4.0))
         );
         assert!(matches!(
-            set.get("backlog_callback_ns"),
+            set.get("backlog_callback_ticks"),
             Some(MetricValue::Hist(_))
         ));
         match set.get("backlog_device_service_ns") {
@@ -427,9 +433,10 @@ mod tests {
             other => panic!("backlog_device_service_ns: {other:?}"),
         }
         assert!(matches!(
-            set.get("backlog_device_lock_wait_ns"),
+            set.get("backlog_device_lock_wait_ticks"),
             Some(MetricValue::Hist(_))
         ));
+        assert!(set.get("backlog_device_lock_wait_ns").is_none());
         assert!(set.get("backlog_trace_events_dropped_total").is_some());
         obs.record_manifest_frame(ManifestKind::Base, 5, false, 5);
         obs.record_manifest_frame(ManifestKind::Delta, 1, false, 6);

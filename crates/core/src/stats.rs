@@ -214,9 +214,9 @@ pub struct MaintenanceReport {
     pub io: IoDelta,
     /// Wall-clock nanoseconds the pass took.
     pub elapsed_ns: u64,
-    /// Partitions rebuilt by this pass (1 for an unpartitioned database; a
-    /// targeted [`maintenance_partition`](crate::BacklogEngine::maintenance_partition)
-    /// pass reports exactly 1 regardless of the partition count).
+    /// Partitions rebuilt by this pass: every partition for a full pass
+    /// (1 for an unpartitioned database), otherwise however many the
+    /// [`MaintenancePlan`](crate::MaintenancePlan) selected.
     pub partitions: u32,
     /// Peak number of records the pass held in memory at any instant — the
     /// largest single identity's record group flowing through the streaming

@@ -15,8 +15,7 @@
 use std::sync::Arc;
 
 use backlog::{
-    BacklogConfig, BacklogEngine, BlockNo, CpNumber, Journal, LineId, Owner, RefOp, SnapshotId,
-    WriteBatch,
+    BacklogConfig, BacklogEngine, BlockNo, CpNumber, LineId, Owner, RefOp, SnapshotId, WriteBatch,
 };
 use blockdev::Device;
 
@@ -144,36 +143,6 @@ pub trait BackrefProvider: std::fmt::Debug + Send + Sync {
     fn maintenance(&self) -> Result<()> {
         Ok(())
     }
-
-    /// Number of independently maintainable pieces the provider's metadata is
-    /// split into (1 for providers without incremental maintenance).
-    fn maintenance_partitions(&self) -> u32 {
-        1
-    }
-
-    /// Runs maintenance on a single partition of the provider's metadata, so
-    /// the file system can amortize maintenance across idle periods instead
-    /// of taking one long pause. Providers without incremental maintenance
-    /// fall back to a full pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the provider's stable storage fails.
-    fn maintenance_partition(&self, _partition: u32) -> Result<()> {
-        self.maintenance()
-    }
-
-    /// Runs full maintenance with independent pieces rebuilt on `threads`
-    /// worker threads, for providers whose metadata is partitioned (see
-    /// [`maintenance_partitions`](Self::maintenance_partitions)). Providers
-    /// without parallel maintenance fall back to a serial full pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the provider's stable storage fails.
-    fn maintenance_parallel(&self, _threads: usize) -> Result<()> {
-        self.maintenance()
-    }
 }
 
 /// A provider that maintains no back references at all — the paper's *Base*
@@ -246,9 +215,8 @@ impl BacklogProvider {
     /// Reopens a provider from raw device contents — the state as of the
     /// last durable consistency point. The host file system must resume its
     /// CP numbering from [`BacklogEngine::current_cp`] (the simulator's
-    /// restart path does) and replay its journal of post-CP reference
-    /// callbacks, if it keeps one, via
-    /// [`backlog::replay_journal`] or [`reopen_with_journal`](Self::reopen_with_journal).
+    /// restart path does) and, once its snapshot/clone metadata is restored,
+    /// call [`replay_recovered_journal`](Self::replay_recovered_journal).
     ///
     /// # Errors
     ///
@@ -258,36 +226,6 @@ impl BacklogProvider {
         Ok(BacklogProvider {
             engine: BacklogEngine::open(device, config).map_err(crate::error::FsError::from)?,
         })
-    }
-
-    /// [`reopen`](Self::reopen) plus a replay of a *host-kept* journal,
-    /// returning the provider and the number of journal entries applied.
-    /// Durable providers normally need no journal from the host — their
-    /// engine logs callbacks to an on-device ring recovered by
-    /// [`reopen`](Self::reopen) and replayed via
-    /// [`replay_recovered_journal`](Self::replay_recovered_journal).
-    ///
-    /// # Errors
-    ///
-    /// Propagates recovery errors.
-    pub fn reopen_with_journal(
-        device: Arc<dyn Device>,
-        config: BacklogConfig,
-        journal: &Journal,
-    ) -> Result<(Self, usize)> {
-        let (engine, applied) = BacklogEngine::open_with_journal(device, config, journal)
-            .map_err(crate::error::FsError::from)?;
-        Ok((BacklogProvider { engine }, applied))
-    }
-
-    /// A point-in-time copy of the engine's host-memory reference-callback
-    /// journal — what the host would read back from NVRAM after a power cut
-    /// — or `None` when the engine journals to its on-device ring (durable
-    /// engines) or not at all. Pair with
-    /// [`reopen_with_journal`](Self::reopen_with_journal) to complete a
-    /// crash/recovery roundtrip at the provider level.
-    pub fn journal_snapshot(&self) -> Option<Journal> {
-        self.engine.journal_snapshot()
     }
 
     /// Group-commits the engine's pending journal entries to the on-device
@@ -392,20 +330,6 @@ impl BackrefProvider for BacklogProvider {
         self.engine.maintenance()?;
         Ok(())
     }
-
-    fn maintenance_partitions(&self) -> u32 {
-        self.engine.config().partitioning.partition_count()
-    }
-
-    fn maintenance_partition(&self, partition: u32) -> Result<()> {
-        self.engine.maintenance_partition(partition)?;
-        Ok(())
-    }
-
-    fn maintenance_parallel(&self, threads: usize) -> Result<()> {
-        self.engine.maintenance_parallel(threads)?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -457,40 +381,6 @@ mod tests {
         let owners = p.query_owners(10).unwrap();
         assert!(owners.iter().all(|o| o.line == LineId::ROOT));
         assert_eq!(p.engine().current_cp(), 2);
-    }
-
-    #[test]
-    fn backlog_provider_incremental_maintenance_covers_all_partitions() {
-        let p = BacklogProvider::new(BacklogConfig::partitioned(4, 4_000).without_timing());
-        assert_eq!(p.maintenance_partitions(), 4);
-        for block in (0..4_000u64).step_by(13) {
-            p.add_reference(block, Owner::block(1, block, LineId::ROOT));
-        }
-        p.consistency_point(1).unwrap();
-        // Maintaining the partitions one by one leaves queries intact.
-        for partition in 0..p.maintenance_partitions() {
-            p.maintenance_partition(partition).unwrap();
-        }
-        assert_eq!(p.query_owners(13).unwrap().len(), 1);
-        assert_eq!(p.query_owners(3_900).unwrap().len(), 1);
-        // The null provider's default is a harmless full pass.
-        let null = NullProvider::new();
-        assert_eq!(null.maintenance_partitions(), 1);
-        null.maintenance_partition(0).unwrap();
-        null.maintenance_parallel(4).unwrap();
-    }
-
-    #[test]
-    fn backlog_provider_parallel_maintenance_preserves_queries() {
-        let p = BacklogProvider::new(BacklogConfig::partitioned(4, 4_000).without_timing());
-        for block in (0..4_000u64).step_by(7) {
-            p.add_reference(block, Owner::block(1, block, LineId::ROOT));
-        }
-        p.consistency_point(1).unwrap();
-        p.maintenance_parallel(4).unwrap();
-        assert_eq!(p.query_owners(7).unwrap().len(), 1);
-        assert_eq!(p.query_owners(3_997).unwrap().len(), 1);
-        assert_eq!(p.engine().stats().maintenance_runs, 1);
     }
 
     #[test]
@@ -559,10 +449,6 @@ mod tests {
         // group-commits them to the on-device ring.
         let late = Owner::block(6, 0, LineId::ROOT);
         p.add_reference(78, late);
-        assert!(
-            p.journal_snapshot().is_none(),
-            "durable journal is on-device"
-        );
         assert_eq!(p.journal_sync().unwrap(), 2);
         drop(p);
         // Power cut: every unflushed cached page vanishes; the durable CP's

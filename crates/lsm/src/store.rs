@@ -262,8 +262,7 @@ pub struct PreparedFlush<'a, R: Record> {
     built: Vec<(u32, Run<R>)>,
     /// In-flight run-page writes still to be waited on (empty once
     /// [`wait_io`](Self::wait_io) or [`take_pending_io`](Self::take_pending_io)
-    /// has run, and always empty for handles from
-    /// [`prepare_flush`](LsmTable::prepare_flush)).
+    /// has run).
     pending_io: Vec<Completion>,
     stats: FlushStats,
     done: bool,
@@ -291,7 +290,7 @@ impl<R: Record> PreparedFlush<'_, R> {
     }
 
     /// Waits for every in-flight run-page write submitted by
-    /// [`prepare_flush_async`](LsmTable::prepare_flush_async). Must succeed
+    /// [`prepare_flush`](LsmTable::prepare_flush). Must succeed
     /// (or the pending I/O must be drained through
     /// [`take_pending_io`](Self::take_pending_io) and waited externally)
     /// before [`commit`](Self::commit).
@@ -329,7 +328,7 @@ impl<R: Record> PreparedFlush<'_, R> {
     /// # Panics
     ///
     /// If in-flight writes from
-    /// [`prepare_flush_async`](LsmTable::prepare_flush_async) were neither
+    /// [`prepare_flush`](LsmTable::prepare_flush) were neither
     /// waited ([`wait_io`](Self::wait_io)) nor drained
     /// ([`take_pending_io`](Self::take_pending_io)) — committing runs whose
     /// pages may still fail would break the all-or-nothing flush contract.
@@ -428,8 +427,9 @@ impl<R: Record> Drop for PreparedFlush<'_, R> {
 /// records in one atomic step — a concurrent query sees every record in
 /// exactly one place. On a device error the staged records return to the
 /// shard, so a failed consistency point loses nothing.
-/// [`flush_cp_parallel`](Self::flush_cp_parallel) fans independent partition
-/// flushes onto scoped worker threads.
+/// [`prepare_flush`](Self::prepare_flush) is the staged form a consistency
+/// point drives, and fans independent partition builds onto scoped worker
+/// threads.
 ///
 /// *Reads and rebuilds.* On-disk state is shared and swappable: each
 /// partition holds an `Arc<Vec<Arc<Run>>>` run list plus its deletion marks
@@ -480,7 +480,7 @@ impl<R: Record> LsmTable<R> {
     /// each run is reopened from its [`RunMeta`] without reading a page, and
     /// the deletion vectors are repopulated. The write store starts empty —
     /// its contents were volatile by definition and are recovered, if at
-    /// all, by replaying the host's journal.
+    /// all, by replaying the engine's on-device journal.
     ///
     /// # Errors
     ///
@@ -680,42 +680,40 @@ impl<R: Record> LsmTable<R> {
     }
 
     /// Flushes the write store into one new Level-0 run per non-empty
-    /// partition. Called at every consistency point. Equivalent to
-    /// [`flush_cp_parallel`](Self::flush_cp_parallel) with one thread.
+    /// partition, inline on the calling thread:
+    /// [`prepare_flush`](Self::prepare_flush), one wait for the submitted
+    /// pages, then [`PreparedFlush::commit`]. All-or-nothing.
     ///
     /// # Errors
     ///
-    /// Propagates device errors. On error, every record that did not make it
-    /// into a completed run returns to the write store, so a failed
-    /// consistency point loses nothing: the caller can retry the flush once
-    /// the device recovers (runs that were completed before the error stay
-    /// on disk and are already visible to queries).
+    /// Propagates device errors. On error *no* partition keeps a new run —
+    /// every staged record returns to its shard, exactly as if the flush had
+    /// never been attempted — so the caller can retry once the device
+    /// recovers.
     pub fn flush_cp(&self) -> Result<FlushStats> {
-        self.flush_cp_parallel(1)
-    }
-
-    /// Flushes the write store with independent per-partition flushes fanned
-    /// out across `threads` scoped worker threads (clamped to
-    /// `1..=non-empty partitions`; with one thread the partition loop runs
-    /// inline on the calling thread, in ascending partition order).
-    ///
-    /// Equivalent to [`prepare_flush`](Self::prepare_flush) followed by an
-    /// immediate [`PreparedFlush::commit`]. The whole flush is all-or-nothing:
-    /// on a device error *no* partition keeps a new run — every staged record
-    /// returns to its shard, exactly as if the flush had never been attempted.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first device error any worker hits.
-    pub fn flush_cp_parallel(&self, threads: usize) -> Result<FlushStats> {
-        Ok(self.prepare_flush(threads)?.commit())
+        let mut prep = self.prepare_flush(1)?;
+        // An error drops `prep`, which aborts: built runs deleted, staged
+        // shards restored.
+        prep.wait_io()?;
+        Ok(prep.commit())
     }
 
     /// Stages the write store and builds one Level-0 run per non-empty
-    /// partition **without installing anything**: the staged records stay
-    /// query-visible in their shards, the partitions' run lists are
-    /// untouched, and the built run pages sit on the device referenced only
-    /// by the returned handle.
+    /// partition **without installing anything**, fanning the independent
+    /// partition builds across `threads` scoped worker threads (clamped to
+    /// `1..=non-empty partitions`; with one thread the partition loop runs
+    /// inline on the calling thread, in ascending partition order). The
+    /// staged records stay query-visible in their shards, the partitions'
+    /// run lists are untouched, and the built runs are referenced only by
+    /// the returned handle.
+    ///
+    /// Returns **without waiting for the built runs' page writes to
+    /// complete**: every page of every run has been *submitted* to the
+    /// device (the returned handle's [`PreparedFlush::take_pending_io`] holds
+    /// the completions), so the device services the whole flush at full
+    /// queue depth while the caller does other work — stages the next
+    /// table's flush, encodes a manifest — before waiting once for
+    /// everything.
     ///
     /// The caller either [`commit`](PreparedFlush::commit)s the prepared
     /// flush — installing every run and unstaging its records in one
@@ -734,33 +732,11 @@ impl<R: Record> LsmTable<R> {
     ///
     /// # Errors
     ///
-    /// Propagates the first device error any worker hits; the table is left
-    /// untouched (staged records restored, partial runs deleted).
+    /// The first error raised *at submission*; the table is left untouched
+    /// (staged records restored, partial runs deleted). Errors on a
+    /// completion surface from [`PreparedFlush::wait_io`] (or the caller's
+    /// own wait); drop the handle to abort.
     pub fn prepare_flush(&self, threads: usize) -> Result<PreparedFlush<'_, R>> {
-        let mut prep = self.prepare_flush_async(threads)?;
-        if let Err(e) = prep.wait_io() {
-            drop(prep); // abort: delete built runs, restore staged shards
-            return Err(e);
-        }
-        Ok(prep)
-    }
-
-    /// Like [`prepare_flush`](Self::prepare_flush), but returns **without
-    /// waiting for the built runs' page writes to complete**: every page of
-    /// every run has been *submitted* to the device (the returned handle's
-    /// [`PreparedFlush::take_pending_io`] holds the completions), so the
-    /// device services the whole flush at full queue depth while the caller
-    /// does other work — stages the next table's flush, encodes a manifest —
-    /// before waiting once for everything.
-    ///
-    /// Device errors can therefore surface in two places: at submit (returned
-    /// here, table restored as in `prepare_flush`) or on a completion
-    /// (surfaced by [`PreparedFlush::wait_io`]; drop the handle to abort).
-    ///
-    /// # Errors
-    ///
-    /// The first error raised *at submission*; the table is left untouched.
-    pub fn prepare_flush_async(&self, threads: usize) -> Result<PreparedFlush<'_, R>> {
         let flush = self.flush_lock.lock();
         // Stage every shard up front; staged records stay query-visible in
         // the shard until the prepared flush commits.
@@ -1258,6 +1234,13 @@ mod tests {
         (disk, LsmTable::new(files, TableConfig::named("test")))
     }
 
+    /// `flush_cp` with the partition builds fanned across `threads` workers.
+    fn flush_threads(t: &LsmTable<TestRec>, threads: usize) -> Result<FlushStats> {
+        let mut prep = t.prepare_flush(threads)?;
+        prep.wait_io()?;
+        Ok(prep.commit())
+    }
+
     #[test]
     fn query_sees_ws_and_runs() {
         let (_d, t) = table();
@@ -1464,7 +1447,8 @@ mod tests {
         for i in 0..100u64 {
             t.insert(TestRec::new(i, i));
         }
-        let prep = t.prepare_flush(1).unwrap();
+        let mut prep = t.prepare_flush(1).unwrap();
+        prep.wait_io().unwrap();
         // Built but not installed: queries still see the records in the
         // write store, the run list is empty, and the manifest-facing metas
         // describe the pending run.
@@ -1503,14 +1487,14 @@ mod tests {
     }
 
     #[test]
-    fn prepare_flush_async_hands_back_inflight_writes() {
+    fn prepare_flush_hands_back_inflight_writes() {
         let disk = SimDisk::new_shared(DeviceConfig::free_latency().with_queue_depth(8));
         let files = Arc::new(FileStore::new(disk.clone()));
         let t: LsmTable<TestRec> = LsmTable::new(files, TableConfig::named("async"));
         for i in 0..2_000u64 {
             t.insert(TestRec::new(i, i));
         }
-        let mut prep = t.prepare_flush_async(1).unwrap();
+        let mut prep = t.prepare_flush(1).unwrap();
         let pending = prep.take_pending_io();
         assert!(
             !pending.is_empty(),
@@ -1543,7 +1527,7 @@ mod tests {
         }
         let files_before = t.files().file_count();
         disk.fail_writes_after(2);
-        let result = t.prepare_flush(1);
+        let result = t.prepare_flush(1).and_then(|mut prep| prep.wait_io());
         disk.clear_write_fault();
         assert!(matches!(result, Err(LsmError::Device(_))));
         assert_eq!(t.ws_len(), 2_000, "staged records return to the shard");
@@ -1815,7 +1799,7 @@ mod tests {
         let serial = mk();
         let parallel = mk();
         let a = serial.flush_cp().unwrap();
-        let b = parallel.flush_cp_parallel(4).unwrap();
+        let b = flush_threads(&parallel, 4).unwrap();
         assert_eq!(a, b, "flush stats identical across fan-out widths");
         assert_eq!(serial.scan_disk().unwrap(), parallel.scan_disk().unwrap());
         assert_eq!(parallel.run_count(), 4);
@@ -1833,13 +1817,13 @@ mod tests {
             t.insert(TestRec::new(i, 0));
         }
         disk.fail_writes_after(3);
-        assert!(t.flush_cp_parallel(4).is_err());
+        assert!(flush_threads(&t, 4).is_err());
         disk.clear_write_fault();
         // Whatever subset of partitions committed, the union is intact and a
         // retry completes the flush.
         assert_eq!(t.ws_len() as u64 + t.stats().disk_records, 4_000);
         assert_eq!(t.scan_all().unwrap().len(), 4_000);
-        t.flush_cp_parallel(4).unwrap();
+        flush_threads(&t, 4).unwrap();
         assert_eq!(t.ws_len(), 0);
         assert_eq!(t.scan_all().unwrap().len(), 4_000);
     }
@@ -1963,7 +1947,7 @@ mod tests {
             // Flusher and reader race the writers.
             s.spawn(move || {
                 while !done_ref.load(Ordering::Relaxed) {
-                    table.flush_cp_parallel(2).unwrap();
+                    flush_threads(table, 2).unwrap();
                 }
                 // Final flush after the writers are done drains everything.
                 table.flush_cp().unwrap();

@@ -217,9 +217,9 @@ impl<R: Record> WriteShard<R> {
 
     /// Handles a deletion mark for a record currently *staged* by an
     /// in-flight flush: the record is unstaged (queries stop seeing it at
-    /// once) and the mark is deferred until [`commit_flush`]
-    /// (Self::commit_flush) applies it together with the run that contains
-    /// the record. Returns `false` if the record is not staged (the caller
+    /// once) and the mark is deferred until
+    /// [`commit_flush`](Self::commit_flush) applies it together with the run
+    /// that contains the record. Returns `false` if the record is not staged (the caller
     /// then marks the partition's deletion vector directly).
     pub fn defer_mark(&mut self, record: &R) -> bool {
         if self.flushing.remove(record) {

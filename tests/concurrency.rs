@@ -13,11 +13,19 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use backlog::{BackRef, BacklogConfig, BacklogEngine, LineId, Owner};
+use backlog::{
+    BackRef, BacklogConfig, BacklogEngine, LineId, MaintenancePlan, MaintenanceReport, Owner,
+};
 use blockdev::{DeviceConfig, FileStore, SimDisk};
 
 const BLOCKS: u64 = 2_000;
 const PARTITIONS: u32 = 8;
+
+/// A full maintenance pass with the partition rebuilds on `threads` workers.
+fn maintain_full(e: &BacklogEngine, threads: usize) -> backlog::Result<MaintenanceReport> {
+    let report = e.maintain(MaintenancePlan::full().with_threads(threads))?;
+    Ok(report.expect("a full plan selects every partition"))
+}
 
 /// Builds an engine with live, snapshotted and dead references spread over
 /// many Level-0 runs in every partition, so a full rebuild has real work to
@@ -133,7 +141,7 @@ fn racing_readers_always_see_consistent_state() {
         });
         s.spawn(move || {
             let _release_readers = SetOnDrop(rebuilt);
-            let report = engine.maintenance_parallel(4).unwrap();
+            let report = maintain_full(engine, 4).unwrap();
             assert!(report.purged_records > 0, "rebuild purged dead references");
         });
     });
@@ -191,7 +199,7 @@ fn parallel_rebuild_fault_walk_keeps_database_consistent() {
     let mut failures = 0u32;
     loop {
         disk.fail_writes_after(fail_after);
-        let result = e.maintenance_parallel(4);
+        let result = maintain_full(&e, 4);
         disk.clear_write_fault();
         if result.is_ok() {
             break;
@@ -348,7 +356,7 @@ fn racing_removers_close_references_despite_cp_races() {
             "block {block} still live after concurrent removal"
         );
     }
-    let report = e.maintenance_parallel(2).unwrap();
+    let report = maintain_full(&e, 2).unwrap();
     assert!(report.purged_records > 0, "dead references must purge");
     for block in (0..N).step_by(61) {
         assert!(e.query_block(block).unwrap().refs.is_empty());
@@ -398,7 +406,7 @@ fn writers_race_maintenance_and_cp() {
         });
         let maintainer = s.spawn(move || {
             let _release = SetOnDrop(done_ref);
-            engine.maintenance_parallel(2).unwrap();
+            maintain_full(engine, 2).unwrap();
         });
         while !writer.is_finished() {
             engine.consistency_point().unwrap();

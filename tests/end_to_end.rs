@@ -2,7 +2,7 @@
 //! simulator, verified against the back-reference database, across
 //! maintenance, snapshots, clones and provider implementations.
 
-use backlog::{BacklogConfig, LineId};
+use backlog::{BacklogConfig, LineId, MaintenancePlan};
 use baseline::{BtrfsLikeBackrefs, NaiveBackrefs};
 use fsim::{BacklogProvider, BackrefProvider, DedupConfig, FileSystem, FsConfig, SnapshotPolicy};
 use workloads::{
@@ -264,14 +264,14 @@ fn incremental_partition_maintenance_interleaves_with_workload() {
     let mut workload = SyntheticWorkload::new(cfg);
     // Spread targeted maintenance over workload rounds — one partition per
     // round, the way a file system amortizes maintenance into idle windows.
-    let partitions = fs.provider().maintenance_partitions();
-    assert_eq!(partitions, 4);
+    let partitions = 4;
     for round in 0..8u32 {
         workload
             .run(&mut fs, 2, |_, _| {})
             .expect("workload failed");
         fs.provider()
-            .maintenance_partition(round % partitions)
+            .engine()
+            .maintain(MaintenancePlan::partition(round % partitions))
             .expect("targeted maintenance failed");
         assert_consistent(&mut fs);
     }
