@@ -6,7 +6,8 @@
 //! Sizes follow the acceptance criteria: 10k identities for the join,
 //! 8-deep clone chains and 64-wide fan-out for inheritance, plus
 //! `SimDisk` page-read counts demonstrating that narrow streaming queries
-//! do not scan whole runs.
+//! do not scan whole runs (asserted in-bin: a point query over a 500k-record
+//! run reads exactly one page).
 //!
 //! Run with `cargo run --release --bin bench_query_pipeline`.
 
@@ -163,6 +164,10 @@ fn main() {
         let before_reads = disk.stats().snapshot().page_reads;
         table.query_range(250_000, 250_000).expect("query failed");
         let point_reads = disk.stats().snapshot().page_reads - before_reads;
+        assert_eq!(
+            point_reads, 1,
+            "a point query reads the one leaf its run's resident fence keys name"
+        );
         let before_reads = disk.stats().snapshot().page_reads;
         table.scan_all().expect("scan failed");
         let scan_reads = disk.stats().snapshot().page_reads - before_reads;

@@ -66,6 +66,17 @@ fn build_database(device: Arc<SimDisk>, cfg: &Config, records: u64) -> BacklogEn
     engine
 }
 
+/// The three tables' stats as a reopen must reproduce them: everything but
+/// `index_bytes`, the fence keys *resident* right now — a reopened run loads
+/// its own on its first lookup, `open` reads none.
+fn durable_table_stats(engine: &BacklogEngine) -> [lsm::TableStats; 3] {
+    let (from, to, combined) = engine.table_stats();
+    [from, to, combined].map(|stats| lsm::TableStats {
+        index_bytes: 0,
+        ..stats
+    })
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cfg = if smoke {
@@ -137,7 +148,7 @@ fn main() {
             }
             let log = engine.manifest_log();
             let run_count = engine.run_count();
-            let want_stats = engine.table_stats();
+            let want_stats = durable_table_stats(&engine);
             let spot_block = records / 3;
             let want_owners = engine.live_owners(spot_block).expect("query failed");
             drop(engine);
@@ -159,7 +170,11 @@ fn main() {
                 // Recovery must be exact, every iteration, wherever in its
                 // log the CP sits.
                 assert_eq!(fresh.run_count(), run_count, "{position}: run count");
-                assert_eq!(fresh.table_stats(), want_stats, "{position}: table stats");
+                assert_eq!(
+                    durable_table_stats(&fresh),
+                    want_stats,
+                    "{position}: table stats"
+                );
                 assert_eq!(
                     fresh.live_owners(spot_block).expect("query failed"),
                     want_owners,

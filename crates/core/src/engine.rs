@@ -689,8 +689,15 @@ impl BacklogEngine {
     /// JSON exporter.
     pub fn metrics(&self) -> MetricSet {
         let journal = self.journal_ring_stats();
-        self.obs
-            .registry(&self.stats(), self.device().stats(), journal.as_ref())
+        let mut set = self
+            .obs
+            .registry(&self.stats(), self.device().stats(), journal.as_ref());
+        let (from, to, combined) = self.table_stats();
+        set.gauge(
+            "backlog_run_index_bytes",
+            (from.index_bytes + to.index_bytes + combined.index_bytes) as f64,
+        );
+        set
     }
 
     /// The current global consistency-point number.
@@ -3002,6 +3009,11 @@ mod tests {
         assert!(e.database_disk_bytes() > 0);
         assert!(e.bloom_bytes() > 0);
         let (f, t, c) = e.table_stats();
+        assert_eq!(f.index_bytes, 8, "one leaf, one resident fence key");
+        assert_eq!(
+            e.metrics().get("backlog_run_index_bytes"),
+            Some(&obs::MetricValue::Gauge(8.0))
+        );
         assert_eq!(f.disk_records, 100);
         assert_eq!(t.disk_records, 0);
         assert_eq!(c.disk_records, 0);

@@ -14,9 +14,9 @@
 //! # Design (paper §4–§5)
 //!
 //! Updates are buffered in in-memory *write stores* and written to disk only
-//! at file-system consistency points, as densely packed, bottom-up-built
-//! B-tree *runs* (an LSM-tree / Stepped-Merge organization provided by the
-//! [`lsm`] crate). Two tables are maintained during normal operation:
+//! at file-system consistency points, as densely packed sorted *runs* with
+//! a resident fence-key index (an LSM-tree / Stepped-Merge organization
+//! provided by the [`lsm`] crate). Two tables are maintained during normal operation:
 //!
 //! * **From** — a record is inserted when a reference is created
 //!   (allocation, deduplication hit, clone override), carrying the CP number

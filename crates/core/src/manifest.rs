@@ -93,7 +93,9 @@ use crate::record::{CombinedRecord, FromRecord, ToRecord};
 use crate::stats::BacklogStats;
 
 const MAGIC: &[u8; 8] = b"BKLGMANI";
-const VERSION: u32 = 2;
+/// 3: a run file is leaves plus a flat fence section (`lsm::Run`); 2 had
+/// multi-level internal pages after the leaves, which nothing reads now.
+const VERSION: u32 = 3;
 /// magic(8) + version(4) + checksum(8) + kind(4) + generation(8) +
 /// payload_len(8).
 const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;

@@ -115,19 +115,21 @@ impl BloomFilter {
         }
     }
 
-    fn positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+    /// The `k` probe positions of `key` in a filter of `num_bits` bits. Takes
+    /// the geometry by value so [`insert`](Self::insert) can set bits while
+    /// iterating.
+    fn positions(num_bits: usize, hashes: u32, key: u64) -> impl Iterator<Item = usize> {
         // Two independent 64-bit mixes combined with double hashing
         // (Kirsch–Mitzenmacher) give the k probe positions.
         let h1 = splitmix64(key ^ 0x9e37_79b9_7f4a_7c15);
         let h2 = splitmix64(key.rotate_left(31) ^ 0xbf58_476d_1ce4_e5b9) | 1;
-        let mask = (self.num_bits - 1) as u64;
-        (0..self.hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) & mask) as usize)
+        let mask = (num_bits - 1) as u64;
+        (0..hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) & mask) as usize)
     }
 
     /// Inserts `key` into the filter.
     pub fn insert(&mut self, key: u64) {
-        let positions: Vec<usize> = self.positions(key).collect();
-        for pos in positions {
+        for pos in Self::positions(self.num_bits, self.hashes, key) {
             self.bits[pos / 64] |= 1 << (pos % 64);
         }
         self.entries += 1;
@@ -136,7 +138,7 @@ impl BloomFilter {
     /// Returns `true` if `key` *may* have been inserted; `false` means it
     /// definitely was not.
     pub fn may_contain(&self, key: u64) -> bool {
-        self.positions(key)
+        Self::positions(self.num_bits, self.hashes, key)
             .all(|pos| self.bits[pos / 64] & (1 << (pos % 64)) != 0)
     }
 

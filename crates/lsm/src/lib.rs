@@ -6,9 +6,10 @@
 //!
 //! * [`WriteStore`] — the in-memory balanced tree (*WS*, the LSM-tree's C0
 //!   component) in which updates accumulate between consistency points.
-//! * [`Run`] — an on-disk read store (*RS*) run: a densely packed B-tree
-//!   built bottom-up (leaf file, then I1, I2, … up to a single root page) so
-//!   that writing a run performs no disk reads.
+//! * [`Run`] — an on-disk read store (*RS*) run: densely packed sorted leaf
+//!   pages followed by one flat section of fence keys (each leaf's first
+//!   key). Writing a run performs no disk reads; the fence keys stay
+//!   resident, so a lookup reads exactly the one leaf that can hold its key.
 //! * [`BloomFilter`] — a 4-hash-function filter per run so queries skip runs
 //!   that cannot contain a block, with support for halving the filter when a
 //!   run holds fewer records than the default sizing assumes.

@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use blockdev::{Completion, FileId, FileMap, FileStore, PersistedFile, PAGE_SIZE};
 
@@ -17,14 +17,32 @@ use crate::record::Record;
 /// (`u16` record count, `u8` page kind, `u8` reserved).
 const PAGE_HEADER: usize = 4;
 const KIND_LEAF: u8 = 1;
-const KIND_INTERNAL: u8 = 2;
+/// A fence page: big-endian `u64` first-keys of consecutive leaves. Kind 2 is
+/// not reused: it marks the internal pages of pre-version-3 run files.
+const KIND_FENCE: u8 = 3;
+const FENCE_LEN: usize = 8;
+/// Fence keys per fence page (511 with 4 KiB pages).
+const FENCES_PER_PAGE: usize = (PAGE_SIZE - PAGE_HEADER) / FENCE_LEN;
+
+/// Pages of the fence section that follows `leaf_pages` leaves: one key per
+/// leaf, except that a run of at most one leaf writes none (its only fence
+/// is its `min_key`).
+fn fence_pages(leaf_pages: u64) -> u64 {
+    if leaf_pages <= 1 {
+        0
+    } else {
+        leaf_pages.div_ceil(FENCES_PER_PAGE as u64)
+    }
+}
 
 /// Everything needed to reopen a [`Run`] from its (immutable) backing file
-/// without scanning it: the B-tree geometry, the key bounds and the Bloom
-/// filter contents. A consistency-point manifest records one `RunMeta` per
-/// installed run; [`Run::open_from_meta`] turns it back into a live run in
-/// O(extent-map) time, which is what makes
-/// `BacklogEngine::open` independent of the database's record count.
+/// without reading it: the geometry (leaf count and last page), the key
+/// bounds and the Bloom filter contents. A consistency-point manifest
+/// records one `RunMeta` per installed run; [`Run::open_from_meta`] turns it
+/// back into a live run in O(extent-map) time, which is what makes
+/// `BacklogEngine::open` independent of the database's record count. The
+/// fence keys are not recorded: they are read back from the run's fence
+/// section by the first lookup that needs them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// The backing virtual file.
@@ -33,7 +51,8 @@ pub struct RunMeta {
     pub records: u64,
     /// Number of leaf pages (pages `0..leaf_pages` of the file).
     pub leaf_pages: u64,
-    /// Page offset of the B-tree root within the file (the last page).
+    /// Page offset of the last page of the file: the end of the fence
+    /// section, or the only leaf of a single-leaf run.
     pub root_page: u64,
     /// Smallest partition key stored.
     pub min_key: u64,
@@ -54,23 +73,29 @@ pub struct RunStats {
     pub records: u64,
     /// Number of leaf pages.
     pub leaf_pages: u64,
-    /// Total pages including internal index pages.
+    /// Total pages including the fence section.
     pub total_pages: u64,
     /// Logical size in bytes (records × encoded length).
     pub record_bytes: u64,
 }
 
-/// An immutable on-disk read-store run: a densely packed B-tree built
-/// bottom-up from a sorted record stream.
+/// An immutable on-disk read-store run: densely packed sorted leaf pages
+/// followed by a flat *fence section* holding the partition key of each
+/// leaf's first record.
 ///
 /// A run is the unit the paper calls an *RS file* (a Stepped-Merge Level-0
 /// run, or the large merged run produced by database maintenance). Building
-/// one performs only sequential page writes — the internal index level
-/// `I(n+1)` is accumulated in memory while level `In` is written — so a
-/// consistency-point flush needs no disk reads.
+/// one performs only sequential page writes — the fence keys are collected
+/// in memory while the leaves are written — so a consistency-point flush
+/// needs no disk reads.
 ///
-/// Each run carries an in-memory [`BloomFilter`] over the partition keys of
-/// its records so queries can skip runs that cannot contain a block.
+/// Two things are resident per run: a [`BloomFilter`] over the partition
+/// keys of its records, so queries can skip runs that cannot contain a
+/// block, and the fence keys (8 bytes per leaf), so a lookup binary-searches
+/// memory and reads exactly the one leaf that can hold its key. A built run
+/// has its fences from the builder; a run reopened by
+/// [`open_from_meta`](Run::open_from_meta) reads its fence section on the
+/// first lookup (⌈leaves / 511⌉ pages, once).
 ///
 /// Runs are shared: the table hands out `Arc<Run>` snapshots to readers while
 /// maintenance builds replacements off to the side. A replaced run is
@@ -85,9 +110,12 @@ pub struct Run<R: Record> {
     /// Cached extent map of the (immutable) run file, so page reads bypass
     /// the file store's lock and hash lookup entirely.
     map: FileMap,
-    /// Page offset of the root page within the run file.
+    /// Page offset of the last page of the run file.
     root_page: u64,
     leaf_pages: u64,
+    /// First partition key of each leaf (leaf `i` ↔ entry `i`). Empty until
+    /// the first lookup on a reopened run; a failed load is not cached.
+    fences: OnceLock<Vec<u64>>,
     records: u64,
     min_key: u64,
     max_key: u64,
@@ -157,8 +185,7 @@ impl<R: Record> Run<R> {
         if !records.is_sorted() {
             return Err(LsmError::UnsortedInput);
         }
-        let mut builder =
-            RunBuilder::new(files.clone(), bloom_config.clone_for_entries(records.len()));
+        let mut builder = RunBuilder::with_capacity(files.clone(), bloom_config, records.len());
         for r in records {
             if let Err(e) = builder.push(r) {
                 builder.abandon();
@@ -205,10 +232,15 @@ impl<R: Record> Run<R> {
     /// the recorded geometry, and propagates file-store errors.
     pub fn open_from_meta(files: &Arc<FileStore>, meta: &RunMeta) -> Result<Self> {
         let map = files.map_file(meta.file)?;
-        if map.len_pages() != meta.root_page + 1 || meta.leaf_pages > meta.root_page + 1 {
+        // Leaves plus their fence section (an empty run is one empty leaf).
+        let expected = meta
+            .leaf_pages
+            .checked_add(fence_pages(meta.leaf_pages))
+            .map(|pages| pages.max(1));
+        if meta.root_page.checked_add(1) != expected || Some(map.len_pages()) != expected {
             return Err(LsmError::CorruptRun {
                 detail: format!(
-                    "{} holds {} pages but the manifest records root page {} ({} leaves)",
+                    "{} holds {} pages but the manifest records last page {} ({} leaves)",
                     meta.file,
                     map.len_pages(),
                     meta.root_page,
@@ -222,6 +254,7 @@ impl<R: Record> Run<R> {
             map,
             root_page: meta.root_page,
             leaf_pages: meta.leaf_pages,
+            fences: OnceLock::new(),
             records: meta.records,
             min_key: meta.min_key,
             max_key: meta.max_key,
@@ -274,6 +307,12 @@ impl<R: Record> Run<R> {
         &self.bloom
     }
 
+    /// Memory held by the resident fence keys, in bytes: 8 per leaf once
+    /// loaded, 0 for a reopened run no lookup has touched yet.
+    pub fn index_bytes(&self) -> usize {
+        self.fences.get().map_or(0, |f| f.len() * FENCE_LEN)
+    }
+
     /// The identifier of the backing virtual file.
     pub fn file_id(&self) -> FileId {
         self.file
@@ -310,6 +349,70 @@ impl<R: Record> Run<R> {
 
     fn read_page(&self, page: u64) -> Result<Vec<u8>> {
         Ok(self.map.read_page(page)?)
+    }
+
+    /// Reads leaf `leaf` and validates its header, returning the page and
+    /// its record count.
+    fn read_leaf(&self, leaf: usize) -> Result<(Vec<u8>, usize)> {
+        let page = self.read_page(leaf as u64)?;
+        let (kind, count) = parse_header(&page, R::ENCODED_LEN)?;
+        if kind != KIND_LEAF {
+            return Err(LsmError::CorruptRun {
+                detail: format!("expected leaf at page {leaf}, found kind {kind}"),
+            });
+        }
+        Ok((page, count))
+    }
+
+    /// The resident fence keys, read from the fence section on a reopened
+    /// run's first lookup. A failed load is that lookup's error and is not
+    /// remembered: the next lookup reads the section again.
+    fn fences(&self) -> Result<&[u64]> {
+        if let Some(fences) = self.fences.get() {
+            return Ok(fences);
+        }
+        let loaded = self.load_fences()?;
+        Ok(self.fences.get_or_init(|| loaded))
+    }
+
+    /// Decodes the fence section (pages `leaf_pages..=root_page`): every
+    /// page a full fence page but the last, one key per leaf, ascending,
+    /// starting at `min_key`.
+    fn load_fences(&self) -> Result<Vec<u64>> {
+        // `open_from_meta` checked `leaf_pages` against the file's length.
+        let leaves = self.leaf_pages as usize;
+        if leaves <= 1 {
+            // No section on disk: a lone leaf starts at the run's first key.
+            return Ok(vec![self.min_key; leaves]);
+        }
+        let mut fences: Vec<u64> = Vec::with_capacity(leaves);
+        for page_no in self.leaf_pages..=self.root_page {
+            let page = self.read_page(page_no)?;
+            let (kind, count) = parse_header(&page, R::ENCODED_LEN)?;
+            let want = leaves.saturating_sub(fences.len()).min(FENCES_PER_PAGE);
+            if kind != KIND_FENCE || count != want {
+                return Err(LsmError::CorruptRun {
+                    detail: format!(
+                        "page {page_no}: expected {want} fence keys, found {count} of kind {kind}"
+                    ),
+                });
+            }
+            let keys = entry_bytes(&page, PAGE_HEADER, count * FENCE_LEN, page_no)?;
+            fences.extend(
+                keys.chunks_exact(FENCE_LEN)
+                    .filter_map(|key| key.try_into().ok())
+                    .map(u64::from_be_bytes),
+            );
+        }
+        if fences.len() != leaves || !fences.is_sorted() || fences[0] != self.min_key {
+            return Err(LsmError::CorruptRun {
+                detail: format!(
+                    "the fence section of {} is not {leaves} ascending keys from {}",
+                    self.file, self.min_key
+                ),
+            });
+        }
+        Ok(fences)
     }
 
     /// Returns every record whose partition key lies in `min..=max`, in
@@ -351,102 +454,60 @@ impl<R: Record> Run<R> {
     /// This is the streaming read path: a query merges these iterators (one
     /// per relevant run) with the write store instead of materializing each
     /// run's hits into an intermediate vector. Pages touched are exactly the
-    /// B-tree descent to the first key `>= min` plus the leaves up to the
-    /// first key `> max` — a narrow query over a large run reads a handful
-    /// of pages no matter how many records the run holds.
+    /// leaf the resident fence keys place the first key `>= min` in, plus
+    /// the following leaves whose first key is `<= max` — a point query
+    /// reads one page no matter how many records the run holds.
     ///
     /// # Errors
     ///
-    /// The initial descent errors are returned eagerly; page errors hit
-    /// while iterating are yielded as `Err` items (the iterator then fuses).
+    /// Errors loading the fence keys or reading the first leaf are returned
+    /// eagerly; page errors hit while iterating are yielded as `Err` items
+    /// (the iterator then fuses).
     pub fn iter_range(&self, min: u64, max: u64) -> Result<RunRangeIter<'_, R>> {
-        if max < self.min_key || min > self.max_key || self.records == 0 {
-            return Ok(RunRangeIter {
-                run: self,
-                min,
-                max,
-                leaf: self.leaf_pages,
-                index: 0,
-                page: None,
-                done: true,
-            });
-        }
-        let (leaf, index) = self.find_first_ge(min)?;
-        Ok(RunRangeIter {
+        let mut iter = RunRangeIter {
             run: self,
+            fences: &[],
             min,
             max,
-            leaf,
-            index,
-            page: None,
-            done: false,
-        })
+            leaf: 0,
+            index: 0,
+            page: Vec::new(),
+            count: 0,
+            done: true,
+        };
+        if max < self.min_key || min > self.max_key || self.records == 0 {
+            return Ok(iter);
+        }
+        iter.fences = self.fences()?;
+        (iter.leaf, iter.index, iter.page, iter.count) = self.find_first_ge(iter.fences, min)?;
+        iter.done = false;
+        Ok(iter)
     }
 
-    /// Locates the first leaf slot whose record partition key is `>= key`.
-    /// Returns `(leaf_page, slot_index)`; the position may be one past the
-    /// last record, in which case iteration terminates immediately.
-    fn find_first_ge(&self, key: u64) -> Result<(u64, usize)> {
-        // Descend from the root through internal pages.
-        let mut page_no = self.root_page;
-        loop {
-            let page = self.read_page(page_no)?;
-            let (kind, count) = parse_header(&page, R::ENCODED_LEN)?;
-            match kind {
-                KIND_LEAF => {
-                    // Binary search within the leaf for the first record >= key.
-                    let mut lo = 0usize;
-                    let mut hi = count;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let start = PAGE_HEADER + mid * R::ENCODED_LEN;
-                        let rec = R::decode(entry_bytes(&page, start, R::ENCODED_LEN, page_no)?);
-                        if rec.partition_key() < key {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    return Ok((page_no, lo));
-                }
-                KIND_INTERNAL => {
-                    let entry_len = R::ENCODED_LEN + 8;
-                    // Find the last child whose separator key is strictly
-                    // less than the search key (default: the first child).
-                    // Using `<` rather than `<=` matters when duplicates of
-                    // the search key span a child boundary: the run of equal
-                    // keys may begin in the previous child, so we must start
-                    // there and let the leaf scan walk forward.
-                    let mut chosen = 0usize;
-                    let mut lo = 0usize;
-                    let mut hi = count;
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let start = PAGE_HEADER + mid * entry_len;
-                        let rec = R::decode(entry_bytes(&page, start, R::ENCODED_LEN, page_no)?);
-                        if rec.partition_key() < key {
-                            chosen = mid;
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    let start = PAGE_HEADER + chosen * entry_len;
-                    let child_bytes: [u8; 8] =
-                        entry_bytes(&page, start + R::ENCODED_LEN, 8, page_no)?
-                            .try_into()
-                            .map_err(|_| LsmError::CorruptRun {
-                                detail: format!("malformed child pointer at page {page_no}"),
-                            })?;
-                    page_no = u64::from_be_bytes(child_bytes);
-                }
-                other => {
-                    return Err(LsmError::CorruptRun {
-                        detail: format!("unknown page kind {other} at page {page_no}"),
-                    })
-                }
+    /// Locates the first leaf slot whose record partition key is `>= key`:
+    /// the last leaf whose fence is strictly below `key` (the first leaf by
+    /// default), then a binary search within it. `<` rather than `<=`
+    /// matters when duplicates of `key` span a leaf boundary: the run of
+    /// equal keys may begin in the previous leaf, so the search starts there
+    /// and the cursor walks forward. Returns `(leaf, slot, page, count)` —
+    /// the one page read is handed to the cursor, not read again; the slot
+    /// may be one past the last record, in which case the cursor moves on.
+    fn find_first_ge(&self, fences: &[u64], key: u64) -> Result<(usize, usize, Vec<u8>, usize)> {
+        let leaf = fences.partition_point(|&k| k < key).saturating_sub(1);
+        let (page, count) = self.read_leaf(leaf)?;
+        let mut lo = 0usize;
+        let mut hi = count;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            let start = PAGE_HEADER + mid * R::ENCODED_LEN;
+            let rec = R::decode(entry_bytes(&page, start, R::ENCODED_LEN, leaf as u64)?);
+            if rec.partition_key() < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        Ok((leaf, lo, page, count))
     }
 }
 
@@ -483,34 +544,23 @@ impl<R: Record> Drop for Run<R> {
 }
 
 /// Lazy iterator over a key range of a [`Run`], created by
-/// [`Run::iter_range`]. Yields records in sorted order, reading one leaf
+/// [`Run::iter_range`]. Yields records in sorted order, holding one leaf
 /// page at a time.
 #[derive(Debug)]
 pub struct RunRangeIter<'a, R: Record> {
     run: &'a Run<R>,
+    /// The run's resident fence keys (empty for an empty range).
+    fences: &'a [u64],
     min: u64,
     max: u64,
-    /// The leaf page the iterator is positioned on.
-    leaf: u64,
+    /// The leaf the iterator is positioned on (an index into `fences`).
+    leaf: usize,
     /// The slot within the current leaf.
     index: usize,
-    /// The current leaf's payload and record count, loaded on demand.
-    page: Option<(Vec<u8>, usize)>,
+    /// The current leaf's payload and validated record count.
+    page: Vec<u8>,
+    count: usize,
     done: bool,
-}
-
-impl<R: Record> RunRangeIter<'_, R> {
-    fn load_page(&mut self) -> Result<bool> {
-        let page = self.run.read_page(self.leaf)?;
-        let (kind, count) = parse_header(&page, R::ENCODED_LEN)?;
-        if kind != KIND_LEAF {
-            return Err(LsmError::CorruptRun {
-                detail: format!("expected leaf at page {}", self.leaf),
-            });
-        }
-        self.page = Some((page, count));
-        Ok(true)
-    }
 }
 
 impl<R: Record> Iterator for RunRangeIter<'_, R> {
@@ -521,25 +571,9 @@ impl<R: Record> Iterator for RunRangeIter<'_, R> {
             return None;
         }
         loop {
-            if self.page.is_none() {
-                if self.leaf >= self.run.leaf_pages {
-                    self.done = true;
-                    return None;
-                }
-                if let Err(e) = self.load_page() {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-            let Some((page, count)) = self.page.as_ref() else {
-                self.done = true;
-                return Some(Err(LsmError::CorruptRun {
-                    detail: format!("leaf page {} not loaded", self.leaf),
-                }));
-            };
-            if self.index < *count {
+            if self.index < self.count {
                 let start = PAGE_HEADER + self.index * R::ENCODED_LEN;
-                let rec = match entry_bytes(page, start, R::ENCODED_LEN, self.leaf) {
+                let rec = match entry_bytes(&self.page, start, R::ENCODED_LEN, self.leaf as u64) {
                     Ok(bytes) => R::decode(bytes),
                     Err(e) => {
                         self.done = true;
@@ -556,34 +590,26 @@ impl<R: Record> Iterator for RunRangeIter<'_, R> {
                     return Some(Ok(rec));
                 }
                 // Keys below `min` can only appear in the first leaf (the
-                // descent positions us at the first record >= min, but a run
+                // search positions us at the first record >= min, but a run
                 // of duplicates may force a conservative start); skip them.
             } else {
-                self.leaf += 1;
-                self.index = 0;
-                self.page = None;
+                // The next leaf's first key is resident: past the last leaf,
+                // or past `max`, the range ends here without another read.
+                let next = self.leaf + 1;
+                if self.fences.get(next).is_none_or(|&first| first > self.max) {
+                    self.done = true;
+                    return None;
+                }
+                match self.run.read_leaf(next) {
+                    Ok((page, count)) => {
+                        (self.leaf, self.index, self.page, self.count) = (next, 0, page, count);
+                    }
+                    Err(e) => {
+                        self.done = true;
+                        return Some(Err(e));
+                    }
+                }
             }
-        }
-    }
-}
-
-trait CloneForEntries {
-    fn clone_for_entries(&self, entries: usize) -> BloomSizing;
-}
-
-/// Internal helper carrying both the config and the intended entry count to
-/// the builder.
-#[derive(Debug, Clone)]
-pub(crate) struct BloomSizing {
-    config: BloomConfig,
-    entries: usize,
-}
-
-impl CloneForEntries for BloomConfig {
-    fn clone_for_entries(&self, entries: usize) -> BloomSizing {
-        BloomSizing {
-            config: *self,
-            entries,
         }
     }
 }
@@ -591,26 +617,28 @@ impl CloneForEntries for BloomConfig {
 /// Incremental builder for a [`Run`].
 ///
 /// Records must be pushed in sorted order. Leaf pages are written as they
-/// fill; separator entries for the next index level are kept in memory, so
-/// the build is a single sequential write pass.
+/// fill and each leaf's first key is kept in memory; finishing appends those
+/// fence keys as one flat section and hands them to the [`Run`] as its
+/// resident index, so the build is a single sequential write pass and the
+/// new run needs no read before its first lookup.
 #[derive(Debug)]
 pub struct RunBuilder<R: Record> {
     files: Arc<FileStore>,
     file: FileId,
     bloom: BloomFilter,
+    /// The table's sizing policy, kept to right-size the filter at finish.
+    bloom_config: BloomConfig,
     /// The leaf page currently being filled.
     leaf_buf: Vec<u8>,
     leaf_count_in_page: usize,
-    /// (first record bytes, page offset) of each completed page at the level
-    /// currently being produced.
-    pending_level: Vec<(Vec<u8>, u64)>,
+    /// Partition key of the first record of each leaf started so far.
+    fences: Vec<u64>,
     pages_written: u64,
     records: u64,
     min_key: u64,
     max_key: u64,
     last: Option<R>,
     records_per_leaf: usize,
-    entries_per_internal: usize,
     /// Completions of pipelined page writes not yet waited on, oldest first:
     /// the builder encodes page `N+1` while page `N` is still in flight.
     pending_io: VecDeque<Completion>,
@@ -620,37 +648,32 @@ pub struct RunBuilder<R: Record> {
 }
 
 impl<R: Record> RunBuilder<R> {
-    pub(crate) fn new(files: Arc<FileStore>, sizing: BloomSizing) -> Self {
-        let file = files.create().id();
-        let records_per_leaf = (PAGE_SIZE - PAGE_HEADER) / R::ENCODED_LEN;
-        let entries_per_internal = (PAGE_SIZE - PAGE_HEADER) / (R::ENCODED_LEN + 8);
-        let max_pending_io = (files.device().queue_depth() * 2).max(2);
-        RunBuilder {
-            files,
-            file,
-            bloom: BloomFilter::for_entries(sizing.entries, &sizing.config),
-            leaf_buf: new_page_buf(KIND_LEAF),
-            leaf_count_in_page: 0,
-            pending_level: Vec::new(),
-            pages_written: 0,
-            records: 0,
-            min_key: u64::MAX,
-            max_key: 0,
-            last: None,
-            records_per_leaf: records_per_leaf.max(1),
-            entries_per_internal: entries_per_internal.max(2),
-            pending_io: VecDeque::new(),
-            max_pending_io,
-        }
-    }
-
     /// Creates a builder sized for `expected_records` records.
     pub fn with_capacity(
         files: Arc<FileStore>,
         bloom_config: &BloomConfig,
         expected_records: usize,
     ) -> Self {
-        Self::new(files, bloom_config.clone_for_entries(expected_records))
+        let file = files.create().id();
+        let records_per_leaf = (PAGE_SIZE - PAGE_HEADER) / R::ENCODED_LEN;
+        let max_pending_io = (files.device().queue_depth() * 2).max(2);
+        RunBuilder {
+            files,
+            file,
+            bloom: BloomFilter::for_entries(expected_records, bloom_config),
+            bloom_config: *bloom_config,
+            leaf_buf: new_page_buf(KIND_LEAF),
+            leaf_count_in_page: 0,
+            fences: Vec::new(),
+            pages_written: 0,
+            records: 0,
+            min_key: u64::MAX,
+            max_key: 0,
+            last: None,
+            records_per_leaf: records_per_leaf.max(1),
+            pending_io: VecDeque::new(),
+            max_pending_io,
+        }
     }
 
     /// Number of records pushed so far.
@@ -679,9 +702,8 @@ impl<R: Record> RunBuilder<R> {
             self.flush_leaf()?;
         }
         if self.leaf_count_in_page == 0 {
-            // Remember the first record of this leaf as its separator.
-            self.pending_level
-                .push((record.encode_to_vec(), self.pages_written));
+            // The first record of a leaf: its key is the leaf's fence.
+            self.fences.push(key);
         }
         let start = PAGE_HEADER + self.leaf_count_in_page * R::ENCODED_LEN;
         record.encode(&mut self.leaf_buf[start..start + R::ENCODED_LEN]);
@@ -718,9 +740,9 @@ impl<R: Record> RunBuilder<R> {
         Ok(())
     }
 
-    /// Finishes the run: flushes the last leaf and writes the internal index
-    /// levels bottom-up, returning the completed immutable [`Run`]. On error
-    /// the partially written run file is deleted.
+    /// Finishes the run: flushes the last leaf and writes the fence section,
+    /// returning the completed immutable [`Run`] with its fence keys
+    /// resident. On error the partially written run file is deleted.
     ///
     /// # Errors
     ///
@@ -761,8 +783,7 @@ impl<R: Record> RunBuilder<R> {
         };
         // Right-size the Bloom filter if the run turned out much smaller than
         // the sizing estimate (the paper shrinks by halving).
-        let cfg = BloomConfig::default();
-        let ideal_bits = cfg.bits_for(self.records as usize);
+        let ideal_bits = self.bloom_config.bits_for(self.records as usize);
         if ideal_bits < self.bloom.num_bits() {
             self.bloom.shrink_to(ideal_bits);
         }
@@ -774,6 +795,7 @@ impl<R: Record> RunBuilder<R> {
                 map,
                 root_page,
                 leaf_pages,
+                fences: OnceLock::from(self.fences),
                 records: self.records,
                 min_key: if self.records == 0 { 0 } else { self.min_key },
                 max_key: self.max_key,
@@ -801,34 +823,29 @@ impl<R: Record> RunBuilder<R> {
         self.finish().map(Some)
     }
 
-    /// Flushes the last leaf and writes the internal index levels bottom-up,
-    /// returning the number of leaf pages.
+    /// Flushes the last leaf and writes the fence section — the leaves'
+    /// first keys as big-endian `u64`s, [`FENCES_PER_PAGE`] to a page —
+    /// returning the number of leaf pages. A single leaf needs no section:
+    /// its fence is the run's `min_key`.
     fn write_index(&mut self) -> Result<u64> {
         self.flush_leaf()?;
         let leaf_pages = self.pages_written;
-        // Build index levels until a level fits in one page.
-        let mut level = std::mem::take(&mut self.pending_level);
-        if level.is_empty() {
-            // Empty run: write a single empty leaf so the root page exists.
-            let buf = new_page_buf(KIND_LEAF);
-            self.append_pipelined(&buf)?;
+        if leaf_pages == 0 {
+            // Empty run: write a single empty leaf so the file has a page.
+            self.append_pipelined(&new_page_buf(KIND_LEAF))?;
         }
-        while level.len() > 1 {
-            let mut next_level = Vec::new();
-            for chunk in level.chunks(self.entries_per_internal) {
-                let mut buf = new_page_buf(KIND_INTERNAL);
-                for (i, (key_bytes, child)) in chunk.iter().enumerate() {
-                    let start = PAGE_HEADER + i * (R::ENCODED_LEN + 8);
-                    buf[start..start + R::ENCODED_LEN].copy_from_slice(key_bytes);
-                    buf[start + R::ENCODED_LEN..start + R::ENCODED_LEN + 8]
-                        .copy_from_slice(&child.to_be_bytes());
+        let fences = std::mem::take(&mut self.fences);
+        if leaf_pages > 1 {
+            for chunk in fences.chunks(FENCES_PER_PAGE) {
+                let mut buf = new_page_buf(KIND_FENCE);
+                for (slot, key) in buf[PAGE_HEADER..].chunks_exact_mut(FENCE_LEN).zip(chunk) {
+                    slot.copy_from_slice(&key.to_be_bytes());
                 }
-                set_header(&mut buf, KIND_INTERNAL, chunk.len());
-                next_level.push((chunk[0].0.clone(), self.pages_written));
+                set_header(&mut buf, KIND_FENCE, chunk.len());
                 self.append_pipelined(&buf)?;
             }
-            level = next_level;
         }
+        self.fences = fences;
         Ok(leaf_pages)
     }
 
@@ -852,8 +869,8 @@ fn set_header(buf: &mut [u8], kind: u8, count: usize) {
 }
 
 /// Parses a run-page header, validating the entry count against the page
-/// length for the page's kind (`record_len` bytes per leaf entry, plus a
-/// child pointer for internal entries). The count is a decoded u16 — on a
+/// length for the page's kind (`record_len` bytes per leaf entry, 8 per
+/// fence key). The count is a decoded u16 — on a
 /// corrupt page it can claim up to 65535 entries, so it must never drive
 /// slicing without this check. Unknown kinds pass through for the caller to
 /// reject with page context.
@@ -869,7 +886,7 @@ fn parse_header(buf: &[u8], record_len: usize) -> Result<(u8, usize)> {
     let count = u16::from_be_bytes([head[0], head[1]]) as usize;
     let entry_len = match kind {
         KIND_LEAF => record_len,
-        KIND_INTERNAL => record_len + 8,
+        KIND_FENCE => FENCE_LEN,
         _ => return Ok((kind, count)),
     };
     if count
@@ -969,16 +986,17 @@ mod tests {
     }
 
     #[test]
-    fn large_run_spans_multiple_levels_and_scans_correctly() {
-        // 16-byte records, ~255 per leaf; 10,000 records => ~40 leaves =>
-        // at least one internal level.
+    fn large_run_has_a_flat_fence_section_and_scans_correctly() {
+        // 16-byte records, 255 per leaf; 10,000 records => 40 leaves => one
+        // fence page, however many leaves (up to 511) it indexes.
         let recs: Vec<TestRec> = (0..10_000u64)
             .map(|k| TestRec::new(k, k ^ 0xdead))
             .collect();
         let (_fs, run) = build(&recs);
         let stats = run.stats();
-        assert!(stats.leaf_pages > 1);
-        assert!(stats.total_pages > stats.leaf_pages, "has internal pages");
+        assert_eq!(stats.leaf_pages, 40);
+        assert_eq!(stats.total_pages, stats.leaf_pages + 1, "one fence page");
+        assert_eq!(run.index_bytes(), 8 * 40);
         assert_eq!(run.scan_all().unwrap().len(), 10_000);
         // Point query in the middle.
         assert_eq!(
@@ -1214,5 +1232,248 @@ mod tests {
         assert_eq!(s.records, 1000);
         assert_eq!(s.record_bytes, 1000 * 16);
         assert!(s.total_pages >= s.leaf_pages);
+    }
+
+    /// A disk plus a run of `n` unique-key records (key `k`, 255 per leaf).
+    fn disk_and_run(n: u64) -> (Arc<SimDisk>, Arc<FileStore>, Run<TestRec>) {
+        let disk = SimDisk::new_shared(DeviceConfig::free_latency());
+        let fs = Arc::new(FileStore::new(disk.clone()));
+        let recs: Vec<TestRec> = (0..n).map(|k| TestRec::new(k, k)).collect();
+        let run = Run::build(&fs, &recs, &BloomConfig::default())
+            .unwrap()
+            .unwrap();
+        (disk, fs, run)
+    }
+
+    /// Pages read from `disk` while `f` runs.
+    fn reads_during<T>(disk: &SimDisk, f: impl FnOnce() -> T) -> (u64, T) {
+        let before = disk.stats().snapshot().page_reads;
+        let out = f();
+        (disk.stats().snapshot().page_reads - before, out)
+    }
+
+    /// The device page backing page `logical` of the run's file.
+    fn device_page(run: &Run<TestRec>, logical: u64) -> u64 {
+        let mut left = logical;
+        for (start, len) in run.persisted_file().extents {
+            if left < len {
+                return start + left;
+            }
+            left -= len;
+        }
+        panic!("page {logical} is past the end of the run file");
+    }
+
+    #[test]
+    fn bloom_is_right_sized_against_the_builders_own_config() {
+        let fs = files();
+        let cfg = BloomConfig {
+            bits_per_entry: 16,
+            min_bits: 4096,
+            ..BloomConfig::default()
+        };
+        let recs: Vec<TestRec> = (0..1_000u64).map(|k| TestRec::new(k, 0)).collect();
+        let run = Run::build(&fs, &recs, &cfg).unwrap().unwrap();
+        assert_eq!(run.bloom().num_bits(), 16_384, "16 bits per entry kept");
+        // An over-estimated builder shrinks to the configured floor, not to
+        // the default one.
+        let mut b = RunBuilder::<TestRec>::with_capacity(fs.clone(), &cfg, 50_000);
+        for r in &recs[..10] {
+            b.push(r).unwrap();
+        }
+        assert_eq!(b.finish().unwrap().bloom().num_bits(), 4096);
+    }
+
+    #[test]
+    fn warm_point_lookup_reads_exactly_one_page() {
+        // 1 leaf (no fence section), 2 leaves, and 514 leaves (two fence
+        // pages): with the fences resident the lookup is one leaf read.
+        for (n, leaves, fence_pages) in [(10u64, 1u64, 0u64), (400, 2, 1), (131_000, 514, 2)] {
+            let (disk, _fs, run) = disk_and_run(n);
+            let stats = run.stats();
+            assert_eq!(stats.leaf_pages, leaves);
+            assert_eq!(stats.total_pages, leaves + fence_pages);
+            assert_eq!(run.index_bytes() as u64, 8 * leaves);
+            for key in [3, n / 2 + 1, n - 2] {
+                let (reads, hits) = reads_during(&disk, || run.scan_range(key, key).unwrap());
+                assert_eq!(hits, vec![TestRec::new(key, key)]);
+                assert_eq!(reads, 1, "{n} records, key {key}");
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_reads_a_second_leaf_only_when_the_range_reaches_it() {
+        // Leaf 0 holds keys 0..=254, leaf 1 starts at 255.
+        let (disk, _fs, run) = disk_and_run(400);
+        let (reads, hits) = reads_during(&disk, || run.scan_range(250, 254).unwrap());
+        assert_eq!(hits.len(), 5);
+        assert_eq!(reads, 1, "range ends on leaf 0's last record");
+        let (reads, hits) = reads_during(&disk, || run.scan_range(250, 255).unwrap());
+        assert_eq!(hits.len(), 6);
+        assert_eq!(reads, 2);
+        let (reads, hits) = reads_during(&disk, || run.scan_all().unwrap());
+        assert_eq!(hits.len(), 400);
+        assert_eq!(
+            reads, 2,
+            "a full scan reads each leaf once and no fence page"
+        );
+
+        // Duplicates of one key straddling the leaf boundary: both leaves.
+        let disk = SimDisk::new_shared(DeviceConfig::free_latency());
+        let fs = Arc::new(FileStore::new(disk.clone()));
+        let mut recs: Vec<TestRec> = (0..200u64).map(|k| TestRec::new(k, 0)).collect();
+        recs.extend((0..100u64).map(|p| TestRec::new(1_000, p)));
+        let run = Run::build(&fs, &recs, &BloomConfig::default())
+            .unwrap()
+            .unwrap();
+        let (reads, hits) = reads_during(&disk, || run.scan_range(1_000, 1_000).unwrap());
+        assert_eq!(hits.len(), 100);
+        assert_eq!(reads, 2);
+    }
+
+    #[test]
+    fn reopened_run_loads_its_fences_once_on_the_first_lookup() {
+        for (n, fence_pages) in [(10u64, 0u64), (400, 1), (131_000, 2)] {
+            let (disk, fs, run) = disk_and_run(n);
+            let (reads, reopened) = reads_during(&disk, || {
+                Run::<TestRec>::open_from_meta(&fs, &run.meta()).unwrap()
+            });
+            assert_eq!(reads, 0, "open reads no run page");
+            assert_eq!(reopened.index_bytes(), 0, "nothing resident yet");
+            let key = n / 2;
+            let (reads, hits) = reads_during(&disk, || reopened.scan_range(key, key).unwrap());
+            assert_eq!(hits, vec![TestRec::new(key, key)]);
+            assert_eq!(reads, fence_pages + 1, "{n} records: fence section + leaf");
+            assert_eq!(reopened.index_bytes(), run.index_bytes());
+            let (reads, _) = reads_during(&disk, || reopened.scan_range(3, 3).unwrap());
+            assert_eq!(reads, 1, "{n} records: fences stay resident");
+            assert_eq!(reopened.scan_all().unwrap(), run.scan_all().unwrap());
+        }
+    }
+
+    #[test]
+    fn hostile_fence_pages_are_corrupt_run_errors_not_panics() {
+        // 600 records: leaves at pages 0..3, one fence page at page 3
+        // holding [0, 255, 510].
+        let (disk, fs, run) = disk_and_run(600);
+        assert_eq!(run.stats().total_pages, 4);
+        let meta = run.meta();
+        let fence_page = device_page(&run, 3);
+        let good = disk.read_page(fence_page).unwrap();
+        let with = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut bad = good.clone();
+            edit(&mut bad);
+            bad
+        };
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            ("leaf kind", with(&|p| p[2] = KIND_LEAF)),
+            ("parent's internal kind", with(&|p| p[2] = 2)),
+            ("unknown kind", with(&|p| p[2] = 0xee)),
+            (
+                "count above 511",
+                with(&|p| p[..2].copy_from_slice(&512u16.to_be_bytes())),
+            ),
+            (
+                "count 65535",
+                with(&|p| p[..2].copy_from_slice(&[0xff, 0xff])),
+            ),
+            (
+                "truncated section",
+                with(&|p| p[..2].copy_from_slice(&2u16.to_be_bytes())),
+            ),
+            (
+                "overlong section",
+                with(&|p| p[..2].copy_from_slice(&4u16.to_be_bytes())),
+            ),
+            (
+                "descending keys",
+                with(&|p| p[12..20].copy_from_slice(&600u64.to_be_bytes())),
+            ),
+            (
+                "first fence is not min_key",
+                with(&|p| p[4..12].copy_from_slice(&1u64.to_be_bytes())),
+            ),
+            ("zeroed page", vec![0u8; PAGE_SIZE]),
+        ];
+        let reopened = Run::<TestRec>::open_from_meta(&fs, &meta).unwrap();
+        for (what, bad) in &hostile {
+            disk.write_page(fence_page, bad).unwrap();
+            assert!(
+                matches!(
+                    reopened.scan_range(300, 300),
+                    Err(LsmError::CorruptRun { .. })
+                ),
+                "{what}"
+            );
+            assert!(matches!(
+                reopened.iter_range(0, u64::MAX),
+                Err(LsmError::CorruptRun { .. })
+            ));
+        }
+        // No failure was remembered: with the page repaired the very same
+        // run loads its fences and answers.
+        disk.write_page(fence_page, &good).unwrap();
+        assert_eq!(
+            reopened.scan_range(300, 300).unwrap(),
+            vec![TestRec::new(300, 300)]
+        );
+        assert_eq!(reopened.scan_all().unwrap().len(), 600);
+
+        // A manifest whose geometry disagrees with the file is refused at
+        // open: a leaf count that implies a different section length.
+        for leaf_pages in [0, 1, 2, 4, 600, u64::MAX] {
+            let bad = RunMeta {
+                leaf_pages,
+                ..meta.clone()
+            };
+            assert!(
+                matches!(
+                    Run::<TestRec>::open_from_meta(&fs, &bad),
+                    Err(LsmError::CorruptRun { .. })
+                ),
+                "{leaf_pages} leaves"
+            );
+        }
+        let bad = RunMeta {
+            root_page: u64::MAX,
+            ..meta.clone()
+        };
+        assert!(Run::<TestRec>::open_from_meta(&fs, &bad).is_err());
+        // A wrong `min_key` passes open (it reads nothing) and is caught by
+        // the loader.
+        let bad = RunMeta { min_key: 7, ..meta };
+        let reopened = Run::<TestRec>::open_from_meta(&fs, &bad).unwrap();
+        assert!(matches!(
+            reopened.scan_range(300, 300),
+            Err(LsmError::CorruptRun { .. })
+        ));
+    }
+
+    #[test]
+    fn read_fault_during_the_lazy_load_fails_that_query_only() {
+        // 514 leaves, two fence pages: fail before the first and between
+        // the two.
+        let (disk, fs, run) = disk_and_run(131_000);
+        for successful in [0, 1] {
+            let reopened = Run::<TestRec>::open_from_meta(&fs, &run.meta()).unwrap();
+            disk.fail_reads_after(successful);
+            let err = reopened.scan_range(70_000, 70_000).unwrap_err();
+            assert!(matches!(err, LsmError::Device(_)), "{err:?}");
+            assert_eq!(reopened.index_bytes(), 0, "a partial load is not kept");
+            disk.clear_read_fault();
+            let (reads, hits) =
+                reads_during(&disk, || reopened.scan_range(70_000, 70_000).unwrap());
+            assert_eq!(hits, vec![TestRec::new(70_000, 70_000)]);
+            assert_eq!(reads, 3, "the retry reads the whole section again");
+        }
+        // A fault on a later leaf surfaces mid-stream and fuses the cursor.
+        disk.fail_reads_after(2);
+        let mut iter = run.iter_range(0, u64::MAX).unwrap();
+        let (oks, errs): (Vec<_>, Vec<_>) = iter.by_ref().partition(|item| item.is_ok());
+        assert_eq!(oks.len(), 2 * 255);
+        assert_eq!(errs.len(), 1);
+        assert!(iter.next().is_none());
+        disk.clear_read_fault();
     }
 }

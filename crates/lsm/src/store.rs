@@ -104,12 +104,15 @@ pub struct TableStats {
     pub run_count: u32,
     /// Records stored across all runs.
     pub disk_records: u64,
-    /// Pages occupied by all runs (leaves plus index pages).
+    /// Pages occupied by all runs (leaves plus fence sections).
     pub disk_pages: u64,
     /// Logical bytes of disk-resident records.
     pub disk_record_bytes: u64,
     /// Memory held by Bloom filters, in bytes.
     pub bloom_bytes: u64,
+    /// Memory held by the runs' resident fence keys, in bytes (8 per leaf;
+    /// a reopened run counts once its first lookup has loaded them).
+    pub index_bytes: u64,
     /// Records currently masked by the deletion vector.
     pub deleted_records: u64,
 }
@@ -217,7 +220,8 @@ impl<R: Record> PartitionSnapshot<R> {
     ///
     /// # Errors
     ///
-    /// Descent errors surface immediately; page errors hit mid-stream are
+    /// Errors positioning a cursor (its run's fence load, its first leaf)
+    /// surface immediately; page errors hit mid-stream are
     /// yielded as `Err` items, after which the stream fuses.
     pub fn iter_disk(&self) -> Result<impl Iterator<Item = Result<R>> + '_> {
         let (min, max) = self.key_range;
@@ -885,7 +889,7 @@ impl<R: Record> LsmTable<R> {
         for snap in &snaps {
             for run in snap.runs() {
                 if run.may_contain_range(min, max) {
-                    // Descent errors surface immediately; later page errors
+                    // Positioning errors surface immediately; later page errors
                     // are captured by the adapter below.
                     let iter = run.iter_range(min, max)?;
                     sources.push(Box::new(CaptureErrors {
@@ -1155,6 +1159,7 @@ impl<R: Record> LsmTable<R> {
     pub fn stats(&self) -> TableStats {
         let mut disk = RunStats::default();
         let mut bloom_bytes = 0u64;
+        let mut index_bytes = 0u64;
         let mut run_count = 0u32;
         let mut deleted_records = 0u64;
         for part in &self.partitions {
@@ -1165,6 +1170,7 @@ impl<R: Record> LsmTable<R> {
                 disk.total_pages += s.total_pages;
                 disk.record_bytes += s.record_bytes;
                 bloom_bytes += run.bloom().size_bytes() as u64;
+                index_bytes += run.index_bytes() as u64;
                 run_count += 1;
             }
             deleted_records += st.deletions.len() as u64;
@@ -1176,6 +1182,7 @@ impl<R: Record> LsmTable<R> {
             disk_pages: disk.total_pages,
             disk_record_bytes: disk.record_bytes,
             bloom_bytes,
+            index_bytes,
             deleted_records,
         }
     }
@@ -1774,9 +1781,9 @@ mod tests {
             assert_eq!(t.query_range(25_000, 25_000).unwrap().len(), 1);
             disk.stats().snapshot().page_reads - before
         };
-        // A point query touches the B-tree descent plus one leaf — single
-        // digits — while the full scan touches every leaf.
-        assert!(narrow_pages <= 6, "point query read {narrow_pages} pages");
+        // A point query reads the one leaf the run's resident fence keys
+        // name, while the full scan touches every leaf.
+        assert_eq!(narrow_pages, 1, "point query read {narrow_pages} pages");
         assert!(
             full_scan_pages >= 190,
             "full scan expected to touch every leaf, read {full_scan_pages}"
@@ -2062,5 +2069,29 @@ mod tests {
         assert_eq!(s.disk_record_bytes, 1000 * 16);
         assert!(s.bloom_bytes > 0);
         assert!(t.disk_bytes() >= s.disk_record_bytes);
+    }
+
+    #[test]
+    fn index_bytes_are_eight_per_leaf_and_small_beside_the_bloom_filters() {
+        let (_d, t) = table();
+        for batch in 0..3u64 {
+            for i in 0..10_000u64 {
+                t.insert(TestRec::new(batch * 10_000 + i, i));
+            }
+            t.flush_cp().unwrap();
+        }
+        let leaves: u64 = (0..t.partition_count())
+            .flat_map(|p| t.partition_snapshot(p).runs().to_vec())
+            .map(|run| run.stats().leaf_pages)
+            .sum();
+        let s = t.stats();
+        assert_eq!(leaves, 3 * 40);
+        assert_eq!(s.index_bytes, 8 * leaves);
+        assert!(
+            s.index_bytes * 8 <= s.bloom_bytes,
+            "{} index bytes beside {} bloom bytes",
+            s.index_bytes,
+            s.bloom_bytes
+        );
     }
 }

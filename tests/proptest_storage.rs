@@ -73,6 +73,36 @@ proptest! {
         }
     }
 
+    /// Heavy duplicate keys (a key's records routinely fill whole leaves and
+    /// straddle leaf boundaries): any range over the run equals the filtered
+    /// input, on the freshly built run — fences from the builder — and on
+    /// the same run reopened from its manifest entry — fences loaded from
+    /// the on-disk section by the first lookup.
+    #[test]
+    fn run_ranges_match_model_with_duplicates_fresh_and_reopened(
+        mut records in proptest::collection::btree_set(
+            (0u64..12, 0u64..2_000).prop_map(|(key, payload)| Rec { key: key * 3, payload }),
+            1..1_500,
+        ).prop_map(|s| s.into_iter().collect::<Vec<_>>()),
+        ranges in proptest::collection::vec((0u64..40, 0u64..12), 1..10),
+    ) {
+        records.sort();
+        let fs = files();
+        let run = Run::build(&fs, &records, &BloomConfig::default()).unwrap().unwrap();
+        let reopened = Run::<Rec>::open_from_meta(&fs, &run.meta()).unwrap();
+        for (start, span) in ranges {
+            let end = start + span;
+            let expected: Vec<Rec> = records
+                .iter()
+                .copied()
+                .filter(|r| r.key >= start && r.key <= end)
+                .collect();
+            prop_assert_eq!(&run.scan_range(start, end).unwrap(), &expected);
+            prop_assert_eq!(&reopened.scan_range(start, end).unwrap(), &expected);
+        }
+        prop_assert_eq!(reopened.scan_all().unwrap(), records);
+    }
+
     /// An LsmTable behaves like a sorted multiset regardless of how the
     /// inserts are split across consistency points, whether the table is
     /// partitioned, and whether it is compacted.

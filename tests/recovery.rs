@@ -453,6 +453,55 @@ fn open_survives_a_read_fault_at_every_point() {
     }
 }
 
+/// `open` reads no run page: a reopened run reads its fence section on the
+/// first query that touches it. A read fault there fails that query only —
+/// nothing half-loaded is kept — and the next query answers correctly.
+#[test]
+fn read_fault_in_the_first_query_after_open_fails_that_query_only() {
+    let device = disk();
+    let reference = BacklogEngine::new_simulated(config());
+    let engine = BacklogEngine::create_durable(device.clone(), config()).unwrap();
+    for e in [&reference, &engine] {
+        // ~1000 records per partition: every run has several leaves, so
+        // each has a fence section to load.
+        for block in 0..4_000u64 {
+            e.add_reference(block, owner(1 + block % 5, block));
+        }
+        e.consistency_point().unwrap();
+    }
+    drop(engine);
+
+    let reopened = BacklogEngine::open(device.clone(), config()).unwrap();
+    let (from, _, _) = reopened.table_stats();
+    assert_eq!(from.index_bytes, 0, "open loaded no fence section");
+    let reads_before = device.stats().snapshot().page_reads;
+    device.fail_reads_after(0);
+    for block in [10u64, 1_500, 3_999] {
+        assert!(
+            reopened.live_owners(block).is_err(),
+            "block {block}: the faulted fence load is the query's error"
+        );
+    }
+    device.clear_read_fault();
+    assert_eq!(reopened.table_stats().0.index_bytes, 0);
+    for block in [10u64, 1_500, 3_999, 2_047, 2_048] {
+        assert_eq!(
+            reopened.live_owners(block).unwrap(),
+            reference.live_owners(block).unwrap(),
+            "block {block} after the fault cleared"
+        );
+    }
+    assert!(device.stats().snapshot().page_reads > reads_before);
+    assert_engines_equivalent(
+        &reopened,
+        &reference,
+        4_000,
+        "after the faulted first query",
+    );
+    let (from, _, _) = reopened.table_stats();
+    assert!(from.index_bytes > 0, "fences are resident once loaded");
+}
+
 /// Satellite: the superblock flip torn by a power cut. A prefix of the new
 /// generation persists over the old slot content; the FNV checksum rejects
 /// the hybrid page and recovery falls back to the previous generation's
