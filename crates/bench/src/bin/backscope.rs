@@ -35,6 +35,8 @@ const REQUIRED_FAMILIES: &[&str] = &[
     "backlog_device_service_ns",
     "backlog_device_lock_wait_ns",
     "backlog_journal_pending_entries",
+    "backlog_journal_ring_live_pages",
+    "backlog_journal_frontier_lag",
     "backlog_manifest_base_pages_total",
     "backlog_manifest_delta_pages_total",
     "backlog_manifest_rollovers_total",
@@ -54,38 +56,55 @@ const REQUIRED_FAMILIES: &[&str] = &[
 
 /// Builds a durable journaled engine and pushes a workload through every
 /// instrumented path so the registry and the recorder have something to
-/// show.
+/// show — including recovery: half-way through, the process "dies" with an
+/// acknowledged journal tail behind the last CP, and the engine the rest of
+/// the workload runs on (the one returned) is the one `open` +
+/// `replay_recovered_journal` rebuilt, so its flight recorder covers open →
+/// ring scan → replay → serve.
 fn exercised_engine(ops: u64) -> BacklogEngine {
     let disk = SimDisk::new_shared(DeviceConfig::free_latency());
-    let engine = BacklogEngine::create_durable(
-        disk,
-        BacklogConfig::partitioned(4, ops.max(1))
-            .with_journaling()
-            .with_journal_group_size(32),
-    )
-    .expect("durable create on a fresh device");
-    let mut batch = WriteBatch::with_capacity(64);
-    for block in 0..ops {
-        if block % 3 == 0 {
-            engine.add_reference(block, Owner::block(1 + block % 7, block, LineId::ROOT));
-        } else {
-            batch.add_reference(block, Owner::block(1 + block % 7, block, LineId::ROOT));
-            if batch.len() == 64 {
-                engine.apply(&batch);
-                batch.clear();
+    let config = BacklogConfig::partitioned(4, ops.max(1))
+        .with_journaling()
+        .with_journal_group_size(32);
+    let owner = |block: u64| Owner::block(1 + block % 7, block, LineId::ROOT);
+    let drive = |engine: &BacklogEngine, blocks: std::ops::Range<u64>| {
+        let mut batch = WriteBatch::with_capacity(64);
+        for block in blocks {
+            if block % 3 == 0 {
+                engine.add_reference(block, owner(block));
+            } else {
+                batch.add_reference(block, owner(block));
+                if batch.len() == 64 {
+                    engine.apply(&batch);
+                    batch.clear();
+                }
+            }
+            if block > 0 && block % (ops / 4).max(1) == 0 {
+                engine.consistency_point().expect("consistency point");
             }
         }
-        if block > 0 && block % (ops / 4).max(1) == 0 {
-            engine.consistency_point().expect("consistency point");
-        }
-    }
-    engine.apply(&batch);
+        engine.apply(&batch);
+    };
+    let engine = BacklogEngine::create_durable(disk.clone(), config.clone())
+        .expect("durable create on a fresh device");
+    // Whatever followed the first half's last CP is only in the journal.
+    drive(&engine, 0..ops / 2);
+    engine.journal_sync().expect("group commit");
+    drop(engine);
+    let engine = BacklogEngine::open(disk, config).expect("reopen from the raw device");
+    let recovery = engine.replay_recovered_journal().expect("journal replay");
+    assert_eq!(recovery.recovered, recovery.applied, "exact truncation");
+
+    drive(&engine, ops / 2..ops);
     engine.journal_sync().expect("group commit");
     engine.consistency_point().expect("consistency point");
     for block in (0..ops).step_by(97) {
         engine.live_owners(block).expect("query");
     }
     engine.maintenance().expect("maintenance");
+    // A few callbacks past the last CP, so the journal gauges read non-zero.
+    drive(&engine, ops..ops + 40);
+    engine.journal_sync().expect("group commit");
     engine
 }
 

@@ -26,6 +26,16 @@
 //! stats and a spot query), making the bench a cheap end-to-end recovery
 //! smoke test for CI at all three chain positions.
 //!
+//! A fourth reopen per database size covers the *journaled* recovery: the
+//! same ingest with journaling on, a tail of callbacks after the last CP
+//! acknowledged by a group commit, a power cut, then `open` +
+//! `replay_recovered_journal`. The bin asserts the whole recovery read the
+//! superblock pair, the log's valid prefix and the ring pages holding live
+//! groups (plus the one or two that end the scan) — **no run page** — that
+//! replay itself read nothing, and that it
+//! applied exactly the tail: recovery costs what the journal holds, not
+//! what the database holds.
+//!
 //! Run with `cargo run --release --bin bench_recovery`; pass `--smoke` for
 //! the tiny CI configuration.
 
@@ -33,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use backlog::{BacklogConfig, BacklogEngine, LineId, ManifestKind, Owner};
-use blockdev::{Device, DeviceConfig, SimDisk};
+use blockdev::{Device, DeviceConfig, PowerCutProfile, SimDisk};
 use obs::{validate_bench_report, BenchReport};
 
 struct Config {
@@ -41,14 +51,17 @@ struct Config {
     record_counts: &'static [u64],
     ops_per_cp: u64,
     opens: u32,
+    /// Callbacks after the last CP of the journaled database.
+    tail_ops: u64,
 }
 
-fn build_database(device: Arc<SimDisk>, cfg: &Config, records: u64) -> BacklogEngine {
-    let engine = BacklogEngine::create_durable(
-        device,
-        BacklogConfig::partitioned(cfg.partitions, records).without_timing(),
-    )
-    .expect("create_durable failed");
+fn build_database(
+    device: Arc<SimDisk>,
+    config: BacklogConfig,
+    cfg: &Config,
+    records: u64,
+) -> BacklogEngine {
+    let engine = BacklogEngine::create_durable(device, config).expect("create_durable failed");
     let mut next_cp = cfg.ops_per_cp;
     for block in 0..records {
         engine.add_reference(block, Owner::block(1 + block % 13, block, LineId::ROOT));
@@ -77,6 +90,85 @@ fn durable_table_stats(engine: &BacklogEngine) -> [lsm::TableStats; 3] {
     })
 }
 
+/// The journaled reopen: ingest with journaling on, a synced tail after the
+/// last CP, power cut, `open` + replay — measured, and bounded in-bin.
+fn journaled_recovery(
+    out: &mut BenchReport,
+    cfg: &Config,
+    config: BacklogConfig,
+    records: u64,
+    key: &str,
+) {
+    // Ring room for a whole CP interval's entries (49 B each), so the
+    // ingest never leans on `JournalFull` backpressure.
+    let config = config
+        .with_journaling()
+        .with_journal_ring_pages(cfg.ops_per_cp.div_ceil(64).max(64));
+    let device = SimDisk::new_shared(DeviceConfig::free_latency());
+    device.set_write_cache(true);
+    let engine = build_database(device.clone(), config.clone(), cfg, records);
+    assert_eq!(
+        engine.journal_ring_stats().expect("journaling").live_groups,
+        0,
+        "a quiescent CP leaves the ring empty"
+    );
+    for i in 0..cfg.tail_ops {
+        engine.add_reference((i * 7) % records, Owner::block(98, i, LineId::ROOT));
+    }
+    let acked = engine.journal_sync().expect("journal_sync failed");
+    assert_eq!(acked, records + cfg.tail_ops, "LSNs count callbacks");
+    let log_pages = engine.manifest_log().log_pages();
+    let run_count = engine.run_count();
+    drop(engine);
+    device.power_cut(&PowerCutProfile::lose_all(records));
+
+    let mut best_ns = u64::MAX;
+    let (mut ring_pages_scanned, mut replay_pages_read, mut applied) = (0, 0, 0);
+    for _ in 0..cfg.opens {
+        // Replay writes nothing, so every iteration recovers the same image.
+        let reads_before = device.stats().snapshot().page_reads;
+        let start = Instant::now();
+        let engine = BacklogEngine::open(device.clone(), config.clone()).expect("open failed");
+        let reads_opened = device.stats().snapshot().page_reads;
+        let rec = engine.replay_recovered_journal().expect("replay failed");
+        best_ns = best_ns.min(start.elapsed().as_nanos() as u64);
+        replay_pages_read = device.stats().snapshot().page_reads - reads_opened;
+        let open_reads = reads_opened - reads_before;
+        let ring = engine.journal_ring_stats().expect("journaling");
+        // The superblock pair, the log's valid prefix, the ring's live
+        // groups and the stale page that ends the scan (two when the scan
+        // also retries at the ring start; none when the chain ends on a
+        // never-written page) — nothing else, and in particular no run
+        // page, however many runs there are.
+        assert_eq!(replay_pages_read, 0, "replay is a filter: it reads no page");
+        assert!(
+            open_reads <= log_pages + ring.live_pages + 2 + 2,
+            "open read {open_reads} pages: log {log_pages}, ring {}",
+            ring.live_pages
+        );
+        assert_eq!(engine.run_count(), run_count);
+        assert_eq!(
+            (rec.recovered as u64, rec.applied as u64, rec.last_lsn),
+            (cfg.tail_ops, cfg.tail_ops, acked),
+            "exactly the tail"
+        );
+        ring_pages_scanned = open_reads - log_pages - 2;
+        applied = rec.applied as u64;
+    }
+    let key = format!("{key}_journaled");
+    out.metrics
+        .counter(format!("{key}_runs"), u64::from(run_count));
+    out.metrics.counter(format!("{key}_log_pages"), log_pages);
+    out.metrics
+        .counter(format!("{key}_ring_pages_scanned"), ring_pages_scanned);
+    out.metrics
+        .counter(format!("{key}_replay_pages_read"), replay_pages_read);
+    out.metrics
+        .counter(format!("{key}_replay_applied"), applied);
+    out.metrics
+        .gauge(format!("{key}_reopen_ms"), best_ns as f64 / 1e6);
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let cfg = if smoke {
@@ -85,6 +177,7 @@ fn main() {
             record_counts: &[5_000, 20_000],
             ops_per_cp: 4_000,
             opens: 2,
+            tail_ops: 300,
         }
     } else {
         Config {
@@ -92,6 +185,7 @@ fn main() {
             record_counts: &[50_000, 200_000, 800_000],
             ops_per_cp: 32_000,
             opens: 3,
+            tail_ops: 3_000,
         }
     };
 
@@ -103,7 +197,7 @@ fn main() {
     for &records in cfg.record_counts {
         let device = SimDisk::new_shared(DeviceConfig::free_latency());
         let config = BacklogConfig::partitioned(cfg.partitions, records).without_timing();
-        let engine = build_database(device.clone(), &cfg, records);
+        let engine = build_database(device.clone(), config.clone(), &cfg, records);
         let db_bytes = engine.database_disk_bytes();
         let key = format!("recovery_{records}r_{}p", cfg.partitions);
         out.metrics.counter(format!("{key}_records"), records);
@@ -215,6 +309,7 @@ fn main() {
                 assert_eq!(report.manifest_kind, Some(ManifestKind::Base));
             }
         }
+        journaled_recovery(&mut out, &cfg, config, records, &key);
     }
 
     let json = out.to_json();

@@ -28,10 +28,14 @@ pub struct BacklogConfig {
     /// be reopened has nothing to replay a journal into.
     ///
     /// Entries are appended inside the shard critical section that
-    /// publishes their records and truncated one CP late, so replay stays
-    /// airtight even for unfenced callbacks in flight across the CP
-    /// boundary — an entry can never be truncated while its record is still
-    /// volatile.
+    /// publishes their records — the same one a consistency point holds
+    /// while it stages that partition — so every CP knows, and records in
+    /// its manifest frame, the exact LSN its flush covered per partition.
+    /// Replay applies precisely the entries beyond that frontier (it reads
+    /// no table) and the ring is truncated up to it, even for unfenced
+    /// callbacks in flight across the CP boundary — an entry can never be
+    /// truncated while its record is still volatile, nor replayed once it
+    /// is durable.
     pub journaling: bool,
     /// Pending journal entries that trigger an automatic group commit of
     /// the on-device ring — the staleness/throughput knob: each commit
@@ -42,10 +46,11 @@ pub struct BacklogConfig {
     /// commits only on explicit `journal_sync` calls and rides CP flushes).
     pub journal_group_size: usize,
     /// Capacity of the on-device journal ring in pages, reserved as one
-    /// contiguous extent at `create_durable`. The ring must hold every
-    /// group since the one-CP-late truncation tail; a full ring fails
-    /// `journal_sync` with `JournalFull` until a consistency point
-    /// advances the tail.
+    /// contiguous extent at `create_durable`. The ring must hold the groups
+    /// committed since the last consistency point — a CP truncates
+    /// everything its flush covered, so a quiescent CP leaves the ring
+    /// empty; a full ring fails `journal_sync` with `JournalFull` until a
+    /// consistency point advances the tail.
     pub journal_ring_pages: u64,
 }
 

@@ -47,15 +47,17 @@ use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 ///
 /// * **Callbacks** ([`add_reference`](Self::add_reference),
 ///   [`remove_reference`](Self::remove_reference),
-///   [`apply`](Self::apply)) lock only the write-store shard of the touched
-///   partition, so writers serialize only when they hit the same partition;
+///   [`apply`](Self::apply)) lock only the touched partition's `From` and
+///   `To` write-store shards, so writers serialize only when they hit the
+///   same partition;
 ///   [`WriteBatch`] amortizes the shard-lock acquisition over a group of
 ///   operations. Counters are atomics.
 /// * **Consistency points** are serialized against each other by an internal
 ///   lock (one CP at a time, as in the host file system) but run concurrently
-///   with callbacks: each partition's flush is build-then-swap, so a racing
-///   callback's record lands in this CP's runs or stays buffered for the
-///   next — never lost, never duplicated.
+///   with callbacks: a CP *cuts* each partition by staging its `From` and
+///   `To` shards under both shard guards at once, then builds and swaps, so
+///   a racing callback lands whole in this CP's runs or stays whole in the
+///   write stores for the next — never lost, never duplicated, never split.
 ///   [`BacklogConfig::cp_flush_threads`] fans the per-partition flushes
 ///   onto scoped worker threads. A callback racing
 ///   the CP boundary is attributed to whichever interval it lands in, exactly
@@ -80,22 +82,17 @@ use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 /// on-device *manifest log* (or starting a new log with a full *base
 /// frame*) and flipping a ping-pong superblock at fixed device pages —
 /// after which the database can be reopened from raw device contents at
-/// exactly that CP. Updates after the
-/// last durable CP live only in the write stores; with
-/// [`BacklogConfig::journaling`] a durable engine additionally logs every
-/// callback to an on-device [`JournalRing`] (group commit, one flush
-/// barrier per group) whose location the superblock records, so
-/// [`open`](Self::open) recovers acknowledged callbacks from raw device
-/// contents alone and
-/// [`replay_recovered_journal`](Self::replay_recovered_journal) re-applies
-/// them once the host has restored its lineage metadata. The ring is the
-/// only journal: a non-durable engine can never be reopened, so
-/// `journaling` has no effect on it. Entries are logged inside
-/// the shard critical section that publishes their records and truncated
-/// one CP late, so replay is airtight even for callbacks racing the CP
-/// boundary. See the README's "Durability & recovery" and "On-device
-/// journal & group commit" sections for the full protocol and its
-/// invariants.
+/// exactly that CP. Updates after the last durable CP live only in the
+/// write stores; with [`BacklogConfig::journaling`] a durable engine also
+/// logs every callback to an on-device [`JournalRing`] whose location the
+/// superblock records, so [`open`](Self::open) +
+/// [`replay_recovered_journal`](Self::replay_recovered_journal) recover the
+/// acknowledged ones from raw device contents alone (a non-durable engine
+/// can never be reopened, so `journaling` has no effect on it). Every CP
+/// records the exact journal LSN each partition's cut covered; replay
+/// applies precisely the entries beyond that frontier, reading no table.
+/// [`crate::journal`] and the README's "Durability & recovery" and
+/// "On-device journal & group commit" sections have the protocol.
 ///
 /// # Example
 ///
@@ -156,9 +153,7 @@ pub struct BacklogEngine {
     /// engine with journaling active.
     journal: Option<JournalRing>,
     /// Entries a ring scan recovered during [`open`](Self::open), waiting
-    /// for [`replay_recovered_journal`](Self::replay_recovered_journal)
-    /// (the host must restore its snapshot/clone metadata first, because
-    /// replay consults the lineage).
+    /// for [`replay_recovered_journal`](Self::replay_recovered_journal).
     recovered_journal: Mutex<Option<RecoveredJournal>>,
     /// Per-shard replicas of the current CP number, so the scalar callback
     /// path stamps records without touching the lineage read-lock at all.
@@ -182,11 +177,13 @@ impl Drop for HistogramOnDrop<'_> {
     }
 }
 
-/// Entries recovered from the on-device ring at open, stashed until the
+/// Entries recovered from the on-device ring at open with their LSNs, and
+/// the per-partition frontier the durable CP recorded, stashed until the
 /// host asks for replay.
 #[derive(Debug)]
 struct RecoveredJournal {
-    entries: Vec<JournalEntry>,
+    entries: Vec<(u64, JournalEntry)>,
+    frontier: Vec<u64>,
     last_lsn: u64,
 }
 
@@ -195,10 +192,13 @@ struct RecoveredJournal {
 pub struct JournalRecovery {
     /// Entries the ring scan recovered from the device.
     pub recovered: usize,
-    /// Entries actually applied (the rest were already durable in runs).
+    /// Entries applied: those beyond their partition's frontier (the rest
+    /// were already durable in runs).
     pub applied: usize,
-    /// LSN of the newest recovered entry (0 if none). Every entry the
-    /// engine ever acknowledged as durable has an LSN at or below this.
+    /// The LSN recovery reaches: the newest recovered entry's, or the
+    /// durable CP's frontier if that is higher (0 without a ring). Every
+    /// entry the engine ever acknowledged as durable has an LSN at or below
+    /// this, and the ring resumes numbering above it.
     pub last_lsn: u64,
 }
 
@@ -323,27 +323,27 @@ fn reserve_journal_ring(files: &Arc<FileStore>, config: &BacklogConfig) -> Resul
     ))
 }
 
+/// The `From`, `To` and `Combined` table configurations of an engine.
+fn table_configs(config: &BacklogConfig) -> [TableConfig; 3] {
+    [
+        ("From", config.bloom),
+        ("To", config.bloom),
+        ("Combined", config.combined_bloom),
+    ]
+    .map(|(name, bloom)| {
+        TableConfig::named(name)
+            .with_bloom(bloom)
+            .with_partitioning(config.partitioning)
+    })
+}
+
 impl BacklogEngine {
     /// Creates an engine whose tables live in `files`.
     pub fn new(files: Arc<FileStore>, config: BacklogConfig) -> Self {
-        let from_table = LsmTable::new(
-            files.clone(),
-            TableConfig::named("From")
-                .with_bloom(config.bloom)
-                .with_partitioning(config.partitioning),
-        );
-        let to_table = LsmTable::new(
-            files.clone(),
-            TableConfig::named("To")
-                .with_bloom(config.bloom)
-                .with_partitioning(config.partitioning),
-        );
-        let combined_table = LsmTable::new(
-            files.clone(),
-            TableConfig::named("Combined")
-                .with_bloom(config.combined_bloom)
-                .with_partitioning(config.partitioning),
-        );
+        let [from, to, combined] = table_configs(&config);
+        let from_table = LsmTable::new(files.clone(), from);
+        let to_table = LsmTable::new(files.clone(), to);
+        let combined_table = LsmTable::new(files.clone(), combined);
         let partition_locks = (0..config.partitioning.partition_count())
             .map(|_| RwLock::new(()))
             .collect();
@@ -417,7 +417,10 @@ impl BacklogEngine {
                 &mut interval,
                 &lineage,
                 &stats,
-                BuiltRuns::NONE,
+                BuiltRuns {
+                    frontier: &vec![0; engine.config.partitioning.partition_count() as usize],
+                    ..BuiltRuns::NONE
+                },
                 Vec::new(),
                 &mut CpPhaseNs::default(),
             )?;
@@ -436,8 +439,10 @@ impl BacklogEngine {
     /// CP of the reopened engine starts a new log with a base frame and
     /// retires this one. Updates that post-date that CP lived only in the
     /// in-memory write stores; a journaling engine recovers the acknowledged
-    /// ones from its on-device ring
-    /// ([`replay_recovered_journal`](Self::replay_recovered_journal)).
+    /// ones from its on-device ring: `open` scans the ring's live groups
+    /// (and reads no run page), and
+    /// [`replay_recovered_journal`](Self::replay_recovered_journal) applies
+    /// the entries beyond the frontier the log recorded.
     ///
     /// # Errors
     ///
@@ -461,6 +466,9 @@ impl BacklogEngine {
                 },
             }
         }
+        let obs = EngineObs::new(config.track_timing);
+        let recorder = obs.recorder().clone();
+        let _open_span = recorder.span(spans::OPEN, 0);
         let sb = Superblock::read_latest(&*device)
             .map_err(|e| stage("superblock read", e.into()))?
             .ok_or_else(|| BacklogError::Recovery {
@@ -498,30 +506,14 @@ impl BacklogEngine {
             )
             .map_err(|e| stage("file store restore", e.into()))?,
         );
-        let from_table = LsmTable::open_from_manifest(
-            files.clone(),
-            TableConfig::named("From")
-                .with_bloom(config.bloom)
-                .with_partitioning(config.partitioning),
-            m.tables.from,
-        )
-        .map_err(|e| stage("From table reopen", e.into()))?;
-        let to_table = LsmTable::open_from_manifest(
-            files.clone(),
-            TableConfig::named("To")
-                .with_bloom(config.bloom)
-                .with_partitioning(config.partitioning),
-            m.tables.to,
-        )
-        .map_err(|e| stage("To table reopen", e.into()))?;
-        let combined_table = LsmTable::open_from_manifest(
-            files.clone(),
-            TableConfig::named("Combined")
-                .with_bloom(config.combined_bloom)
-                .with_partitioning(config.partitioning),
-            m.tables.combined,
-        )
-        .map_err(|e| stage("Combined table reopen", e.into()))?;
+        let [from, to, combined] = table_configs(&config);
+        let from_table = LsmTable::open_from_manifest(files.clone(), from, m.tables.from)
+            .map_err(|e| stage("From table reopen", e.into()))?;
+        let to_table = LsmTable::open_from_manifest(files.clone(), to, m.tables.to)
+            .map_err(|e| stage("To table reopen", e.into()))?;
+        let combined_table =
+            LsmTable::open_from_manifest(files.clone(), combined, m.tables.combined)
+                .map_err(|e| stage("Combined table reopen", e.into()))?;
         let partition_locks = (0..config.partitioning.partition_count())
             .map(|_| RwLock::new(()))
             .collect();
@@ -535,20 +527,24 @@ impl BacklogEngine {
         // maintenance). A journaling engine opened on a pre-ring device
         // reserves a ring now; it becomes crash-findable at the next CP.
         let (journal, recovered) = if sb.journal_pages > 0 {
+            let mut scan_span = recorder.span(spans::RING_SCAN, sb.journal_tail_seq);
             let rec = JournalRing::recover(
                 files.device().clone(),
                 FileId(sb.journal_file),
                 sb.journal_start,
                 sb.journal_pages,
                 config.journal_group_size,
-                sb.journal_tail_page,
-                sb.journal_tail_seq,
+                (sb.journal_tail_page, sb.journal_tail_seq),
+                m.journal_frontier.iter().copied().max().unwrap_or(0),
             )
             .map_err(|e| stage("journal ring scan", e))?;
+            scan_span.set_b(rec.entries.len() as u64);
+            drop(scan_span);
             (
                 Some(rec.ring),
                 Some(RecoveredJournal {
                     entries: rec.entries,
+                    frontier: m.journal_frontier,
                     last_lsn: rec.last_lsn,
                 }),
             )
@@ -561,7 +557,6 @@ impl BacklogEngine {
             config.partitioning.partition_count(),
             m.lineage.current_cp(),
         );
-        let obs = EngineObs::new(config.track_timing);
         if let Some(ring) = &journal {
             obs.attach_ring(ring);
         }
@@ -609,25 +604,32 @@ impl BacklogEngine {
 
     /// Replays the journal entries a ring scan recovered during
     /// [`open`](Self::open), reconstructing the write-store contents the
-    /// crash destroyed, needing no bytes from the host. Call it *after*
-    /// restoring host-side snapshot/clone metadata: replay consults the
-    /// lineage to reconcile entries of the boundary CP interval (see
-    /// [`replay_journal`](crate::replay_journal)).
-    /// Idempotent — a second call finds nothing to do.
+    /// crash destroyed, needing no bytes from the host: exactly the entries
+    /// beyond the frontier the durable CP recorded are applied, in order
+    /// (see [`replay_journal`](crate::replay_journal)); no table is read and
+    /// nothing is written. Call it before issuing new callbacks; a
+    /// consistency point taken first replays on the host's behalf, so that
+    /// its cut covers what it truncates. Idempotent — a second call finds
+    /// nothing to do.
     ///
     /// # Errors
     ///
-    /// Propagates query errors from the boundary-interval reconciliation.
+    /// None today: replay is a filter over entries already in memory.
     pub fn replay_recovered_journal(&self) -> Result<JournalRecovery> {
-        let stash = self.recovered_journal.lock().take();
-        match stash {
-            None => Ok(JournalRecovery::default()),
-            Some(stash) => Ok(JournalRecovery {
-                recovered: stash.entries.len(),
-                applied: crate::journal::replay(self, &stash.entries)?,
-                last_lsn: stash.last_lsn,
-            }),
-        }
+        let Some(stash) = self.recovered_journal.lock().take() else {
+            return Ok(JournalRecovery::default());
+        };
+        let mut span = self
+            .obs
+            .recorder()
+            .span(spans::JOURNAL_REPLAY, stash.entries.len() as u64);
+        let applied = crate::journal::replay(self, &stash.entries, &stash.frontier);
+        span.set_b(applied as u64);
+        Ok(JournalRecovery {
+            recovered: stash.entries.len(),
+            applied,
+            last_lsn: stash.last_lsn,
+        })
     }
 
     /// The configuration this engine was created with.
@@ -720,51 +722,7 @@ impl BacklogEngine {
     /// touched partition's write-store shard; no disk I/O is performed until
     /// the next [`consistency_point`](Self::consistency_point).
     pub fn add_reference(&self, block: BlockNo, owner: Owner) {
-        let t0 = self.obs.now();
-        let identity = RefIdentity::new(block, owner);
-        let pidx = self.config.partitioning.partition_of(block);
-        let pruned;
-        let mut want_commit = false;
-        if let Some(ring) = &self.journal {
-            // Journaling logs *inside* the shard critical section: the CP
-            // stamp read, the journal append and the write-store mutation
-            // are atomic with respect to a CP flush draining this shard, so
-            // an entry stamped `c` reaches runs no later than CP `c + 1` —
-            // exactly what the one-CP-late truncation assumes, even for
-            // unfenced concurrent callbacks. Guard order (From then To)
-            // matches `apply`.
-            let mut from = self.from_table.ws_shard(pidx);
-            let mut to = self.to_table.ws_shard(pidx);
-            let cp = self.cp_cache.read(pidx);
-            want_commit = ring.append(JournalEntry::Add { block, owner, cp }).1;
-            // Proactive pruning: if the same reference was removed earlier
-            // in this CP interval, its To record is still in the write
-            // store; removing it splices the two lifetimes back together.
-            pruned = to.remove(&ToRecord::new(identity, cp));
-            if !pruned {
-                from.insert(FromRecord::new(identity, cp));
-            }
-        } else {
-            // The CP stamp comes from the touched partition's replica of
-            // the CP clock — the scalar callback path takes no lineage
-            // lock at all.
-            let cp = self.cp_cache.read(pidx);
-            pruned = self.to_table.ws_remove(&ToRecord::new(identity, cp));
-            if !pruned {
-                self.from_table.insert(FromRecord::new(identity, cp));
-            }
-        }
-        if pruned {
-            self.counters.pruned_adds.fetch_add(1, Ordering::Relaxed);
-            self.counters.pruned_removes.fetch_add(1, Ordering::Relaxed);
-        }
-        self.counters.refs_added.fetch_add(1, Ordering::Relaxed);
-        if want_commit {
-            self.auto_commit();
-        }
-        self.obs
-            .callback_ns
-            .record(self.obs.now().saturating_sub(t0));
+        self.callback(RefOp::Add { block, owner });
     }
 
     /// Records that `owner` no longer references physical block `block`.
@@ -773,41 +731,89 @@ impl BacklogEngine {
     /// [`add_reference`](Self::add_reference), the update is buffered until
     /// the next consistency point.
     pub fn remove_reference(&self, block: BlockNo, owner: Owner) {
+        self.callback(RefOp::Remove { block, owner });
+    }
+
+    /// One scalar callback: a one-operation group, timed.
+    fn callback(&self, op: RefOp) {
         let t0 = self.obs.now();
-        let identity = RefIdentity::new(block, owner);
-        let pidx = self.config.partitioning.partition_of(block);
-        let pruned;
-        let mut want_commit = false;
-        if let Some(ring) = &self.journal {
-            // Same critical-section discipline as `add_reference`.
-            let mut from = self.from_table.ws_shard(pidx);
-            let mut to = self.to_table.ws_shard(pidx);
-            let cp = self.cp_cache.read(pidx);
-            want_commit = ring.append(JournalEntry::Remove { block, owner, cp }).1;
-            // Proactive pruning: a reference added and removed within the
-            // same CP interval never needs to reach disk.
-            pruned = from.remove(&FromRecord::new(identity, cp));
-            if !pruned {
-                to.insert(ToRecord::new(identity, cp));
-            }
-        } else {
-            let cp = self.cp_cache.read(pidx);
-            pruned = self.from_table.ws_remove(&FromRecord::new(identity, cp));
-            if !pruned {
-                self.to_table.insert(ToRecord::new(identity, cp));
-            }
-        }
-        if pruned {
-            self.counters.pruned_adds.fetch_add(1, Ordering::Relaxed);
-            self.counters.pruned_removes.fetch_add(1, Ordering::Relaxed);
-        }
-        self.counters.refs_removed.fetch_add(1, Ordering::Relaxed);
+        let pidx = self.config.partitioning.partition_of(op.block());
+        let (pruned, want_commit) = self.apply_group(pidx, &[op], true);
+        let is_add = matches!(op, RefOp::Add { .. });
+        self.count_ops(u64::from(is_add), u64::from(!is_add), pruned);
         if want_commit {
             self.auto_commit();
         }
         self.obs
             .callback_ns
             .record(self.obs.now().saturating_sub(t0));
+    }
+
+    /// Applies `ops`, all of partition `pidx`, in order, inside one critical
+    /// section — the partition's `From` and `To` shard guards, in that
+    /// order: the CP stamp is read, the operations are journaled (when
+    /// `journal` is set and the engine has a ring) and the write stores are
+    /// mutated under the same two guards a consistency point holds while it
+    /// cuts the partition (see [`crate::journal`]). Returns the pairs
+    /// proactively pruned and whether the journal's pending segment reached
+    /// the group-commit threshold.
+    fn apply_group(&self, pidx: u32, ops: &[RefOp], journal: bool) -> (u64, bool) {
+        let mut from = self.from_table.ws_shard(pidx);
+        let mut to = self.to_table.ws_shard(pidx);
+        // The touched partition's replica of the CP clock: callbacks take
+        // no lineage lock at all.
+        let cp = self.cp_cache.read(pidx);
+        let mut want_commit = false;
+        if let Some(ring) = self.journal.as_ref().filter(|_| journal) {
+            for op in ops {
+                let entry = match *op {
+                    RefOp::Add { block, owner } => JournalEntry::Add { block, owner, cp },
+                    RefOp::Remove { block, owner } => JournalEntry::Remove { block, owner, cp },
+                };
+                want_commit |= ring.append(entry).1;
+            }
+        }
+        let mut pruned = 0u64;
+        for op in ops {
+            // Proactive pruning: a reference added and removed (or removed
+            // and re-added) within one CP interval still has its other half
+            // in the write store; removing that splices the lifetimes back
+            // together and neither record ever needs to reach disk.
+            let spliced = match *op {
+                RefOp::Add { block, owner } => {
+                    let identity = RefIdentity::new(block, owner);
+                    let spliced = to.remove(&ToRecord::new(identity, cp));
+                    if !spliced {
+                        from.insert(FromRecord::new(identity, cp));
+                    }
+                    spliced
+                }
+                RefOp::Remove { block, owner } => {
+                    let identity = RefIdentity::new(block, owner);
+                    let spliced = from.remove(&FromRecord::new(identity, cp));
+                    if !spliced {
+                        to.insert(ToRecord::new(identity, cp));
+                    }
+                    spliced
+                }
+            };
+            pruned += u64::from(spliced);
+        }
+        (pruned, want_commit)
+    }
+
+    fn count_ops(&self, adds: u64, removes: u64, pruned: u64) {
+        let c = &self.counters;
+        if adds != 0 {
+            c.refs_added.fetch_add(adds, Ordering::Relaxed);
+        }
+        if removes != 0 {
+            c.refs_removed.fetch_add(removes, Ordering::Relaxed);
+        }
+        if pruned != 0 {
+            c.pruned_adds.fetch_add(pruned, Ordering::Relaxed);
+            c.pruned_removes.fetch_add(pruned, Ordering::Relaxed);
+        }
     }
 
     /// Applies a batch of reference operations, amortizing the per-partition
@@ -822,81 +828,41 @@ impl BacklogEngine {
     /// [`remove_reference`](Self::remove_reference); multi-threaded hosts
     /// batch their callbacks to cut the per-operation locking overhead.
     pub fn apply(&self, batch: &WriteBatch) {
-        if batch.is_empty() {
+        self.apply_ops(batch.ops(), true);
+    }
+
+    /// [`apply`](Self::apply) over a slice. Journal replay passes `journal =
+    /// false`: its operations are already in the ring under their original
+    /// LSNs and must not be logged a second time.
+    pub(crate) fn apply_ops(&self, ops: &[RefOp], journal: bool) {
+        if ops.is_empty() {
             return;
         }
         let t0 = self.obs.now();
-        let mut adds = 0u64;
-        let mut removes = 0u64;
-        let mut pruned = 0u64;
-        let mut want_commit = false;
-        let mut apply_group = |pidx: u32, ops: &[RefOp]| {
-            let mut from = self.from_table.ws_shard(pidx);
-            let mut to = self.to_table.ws_shard(pidx);
-            // The group's CP stamp is read under its shard guards, and the
-            // group is journaled there too — the same critical-section
-            // discipline as the scalar callbacks, amortized per group.
-            let cp = self.cp_cache.read(pidx);
-            if let Some(ring) = &self.journal {
-                for op in ops {
-                    let entry = match *op {
-                        RefOp::Add { block, owner } => JournalEntry::Add { block, owner, cp },
-                        RefOp::Remove { block, owner } => JournalEntry::Remove { block, owner, cp },
-                    };
-                    want_commit |= ring.append(entry).1;
-                }
-            }
-            for op in ops {
-                match *op {
-                    RefOp::Add { block, owner } => {
-                        adds += 1;
-                        let identity = RefIdentity::new(block, owner);
-                        if to.remove(&ToRecord::new(identity, cp)) {
-                            pruned += 1;
-                        } else {
-                            from.insert(FromRecord::new(identity, cp));
-                        }
-                    }
-                    RefOp::Remove { block, owner } => {
-                        removes += 1;
-                        let identity = RefIdentity::new(block, owner);
-                        if from.remove(&FromRecord::new(identity, cp)) {
-                            pruned += 1;
-                        } else {
-                            to.insert(ToRecord::new(identity, cp));
-                        }
-                    }
-                }
-            }
-        };
         let parts = self.config.partitioning;
+        let (mut pruned, mut want_commit) = (0u64, false);
         if parts.partition_count() == 1 {
-            apply_group(0, batch.ops());
+            (pruned, want_commit) = self.apply_group(0, ops, journal);
         } else {
             let mut buckets: Vec<Vec<RefOp>> = (0..parts.partition_count() as usize)
                 .map(|_| Vec::new())
                 .collect();
-            for op in batch.ops() {
+            for op in ops {
                 buckets[parts.partition_of(op.block()) as usize].push(*op);
             }
-            for (pidx, ops) in buckets.iter().enumerate() {
-                if !ops.is_empty() {
-                    apply_group(pidx as u32, ops);
+            for (pidx, group) in buckets.iter().enumerate() {
+                if !group.is_empty() {
+                    let (p, w) = self.apply_group(pidx as u32, group, journal);
+                    pruned += p;
+                    want_commit |= w;
                 }
             }
         }
-        self.counters.refs_added.fetch_add(adds, Ordering::Relaxed);
-        self.counters
-            .refs_removed
-            .fetch_add(removes, Ordering::Relaxed);
-        if pruned != 0 {
-            self.counters
-                .pruned_adds
-                .fetch_add(pruned, Ordering::Relaxed);
-            self.counters
-                .pruned_removes
-                .fetch_add(pruned, Ordering::Relaxed);
-        }
+        let adds = ops
+            .iter()
+            .filter(|op| matches!(op, RefOp::Add { .. }))
+            .count() as u64;
+        self.count_ops(adds, ops.len() as u64 - adds, pruned);
         if want_commit {
             self.auto_commit();
         }
@@ -908,11 +874,11 @@ impl BacklogEngine {
             .record(self.obs.now().saturating_sub(t0));
         self.obs
             .recorder()
-            .mark(spans::CALLBACK, batch.len() as u64, pruned);
-        if self.journal.is_some() {
+            .mark(spans::CALLBACK, ops.len() as u64, pruned);
+        if journal && self.journal.is_some() {
             self.obs
                 .recorder()
-                .mark(spans::JOURNAL_APPEND, batch.len() as u64, 0);
+                .mark(spans::JOURNAL_APPEND, ops.len() as u64, 0);
         }
     }
 
@@ -936,10 +902,12 @@ impl BacklogEngine {
     ///
     /// Consistency points are serialized against each other (a second caller
     /// blocks until the first completes), but reference callbacks keep
-    /// running concurrently: each partition's flush is build-then-swap, so a
-    /// racing callback's record lands in this CP's runs or stays buffered
-    /// for the next — never lost, never duplicated. A callback racing the CP
-    /// boundary is attributed to whichever CP interval it lands in.
+    /// running concurrently: each partition is *cut* — its `From` and `To`
+    /// shards staged together under both shard guards — and then built and
+    /// swapped, so a racing callback lands whole in this CP's runs or stays
+    /// whole in the write stores for the next — never lost, never
+    /// duplicated. A callback racing the CP boundary is attributed to
+    /// whichever CP interval it lands in.
     ///
     /// # Errors
     ///
@@ -949,6 +917,9 @@ impl BacklogEngine {
     pub fn consistency_point(&self) -> Result<CpReport> {
         let mut interval = self.cp_lock.lock();
         interval.log_stats.last_attempt = None;
+        // A host that reopened and went straight to a CP: replay first, or
+        // this CP's cut would truncate recovered entries it does not cover.
+        self.replay_recovered_journal()?;
         let io_before = self.io_snapshot();
         let cp_t0 = self.obs.now();
         let cp = self.lineage.read().current_cp();
@@ -967,15 +938,30 @@ impl BacklogEngine {
         // a same-interval remove cannot prune it (the From/To pair would
         // later be read back as a live reference, not an empty lifetime).
         //
-        // The three prepares are *async*: each submits all of its run-page
+        // The three builds are *async*: each submits all of its run-page
         // writes without waiting, so the device services every table's flush
         // (and, for a durable engine, the manifest appends) through one
         // shared queue at full depth. All completions drain through a single
         // wait before the one pre-flip barrier — not one wait-all per table.
         let prep_t0 = self.obs.now();
         let prep_span = self.obs.recorder().span(spans::CP_PREPARE, cp);
-        let mut from_prep = self.from_table.prepare_flush(threads)?;
-        let mut to_prep = self.to_table.prepare_flush(threads)?;
+        // The cut: each partition's `From` and `To` shards are staged under
+        // both shard guards at once (the callbacks' critical section), and
+        // the journal's newest LSN is read before they are released — so
+        // `frontier[p]` splits partition `p`'s entries exactly.
+        let mut from_prep = self.from_table.begin_flush();
+        let mut to_prep = self.to_table.begin_flush();
+        let frontier: Vec<u64> = (0..self.config.partitioning.partition_count())
+            .map(|pidx| {
+                let mut from = self.from_table.ws_shard(pidx);
+                let mut to = self.to_table.ws_shard(pidx);
+                from_prep.stage(pidx, &mut from);
+                to_prep.stage(pidx, &mut to);
+                self.journal.as_ref().map_or(0, JournalRing::appended_lsn)
+            })
+            .collect();
+        from_prep.build(threads)?;
+        to_prep.build(threads)?;
         let mut combined_prep = self.combined_table.prepare_flush(threads)?;
         let mut pending: Vec<Completion> = from_prep.take_pending_io();
         pending.extend(to_prep.take_pending_io());
@@ -1006,6 +992,7 @@ impl BacklogEngine {
                     from: from_prep.built_runs(),
                     to: to_prep.built_runs(),
                     combined: combined_prep.built_runs(),
+                    frontier: &frontier,
                 },
                 pending,
                 &mut phases,
@@ -1115,6 +1102,11 @@ impl BacklogEngine {
     ///    a new one), the runs only the previous log view still pinned, the
     ///    interval's deferred frees and the journal ring's truncated groups
     ///    become reusable space.
+    ///
+    /// `built.frontier` is the cut those runs were built from: per
+    /// partition, the newest journal LSN they cover. The frame records it —
+    /// the replay filter, atomic with the flip — and its minimum moves the
+    /// ring's tail.
     ///
     /// **Failure.** The in-memory log tail is consumed on entry and
     /// reinstated only on success, so after an error — before the flip, or
@@ -1236,12 +1228,11 @@ impl BacklogEngine {
         // id and extent the log (or the superblock) references lies below
         // it — the restore-time free-space computation depends on this.
         let (next_file, next_page) = self.files.alloc_cursor();
-        // The journal ring's one-CP-late truncation target. `lineage` holds
-        // the advanced clock (for the initial CP of `create_durable`, the
-        // unadvanced clock 1), so `current_cp - 2` is the newest interval
-        // whose entries the *previous* CP's flush provably covered — the
+        // The journal ring's truncation target: every entry at or below the
+        // lowest partition frontier is in the runs this flip covers, so the
+        // tail moves to the first group holding a later one — the
         // superblock's tail is the truncation record, atomic with the flip.
-        let journal_through = lineage.current_cp().saturating_sub(2);
+        let journal_through = built.frontier.iter().copied().min().unwrap_or(0);
         let (journal_file, journal_start, journal_pages, journal_tail) = match &self.journal {
             Some(ring) => (
                 ring.file_id().0,
@@ -1334,7 +1325,7 @@ impl BacklogEngine {
         // in-memory tail advance past the dropped groups (an aborted CP
         // above leaves the journal exactly as it was).
         if let Some(ring) = &self.journal {
-            ring.commit_truncate(journal_through);
+            ring.commit_truncate(journal_tail.1, journal_through);
         }
         drop(retire_span);
         phases.retire = self.obs.now().saturating_sub(retire_t0);

@@ -28,9 +28,11 @@ pub enum BacklogError {
         detail: String,
     },
     /// The on-device journal ring has no room for the pending group: the
-    /// untruncated region (everything newer than the one-CP-late tail) plus
-    /// the pending entries exceed the ring. Take a consistency point (which
-    /// advances the tail) or grow `journal_ring_pages`.
+    /// untruncated region (the groups holding an entry the last consistency
+    /// point's flush did not cover) plus the pending entries exceed the
+    /// ring. Take a consistency point — it frees every group it covers and
+    /// drops the pending entries it made durable — or grow
+    /// `journal_ring_pages`.
     JournalFull {
         /// Ring capacity in pages.
         ring_pages: u64,

@@ -6,7 +6,8 @@
 //! on-disk database is exactly the state as of the last complete CP. Updates
 //! that arrived after that CP live only in the in-memory write stores — and
 //! in the journal, from which they are rebuilt by replaying the surviving
-//! entries with [`replay`].
+//! entries with [`replay`]. Recovery costs what the *journal* holds, not
+//! what the database holds: replay reads no table.
 //!
 //! The journal is a [`JournalRing`]: an on-device ring in a reserved
 //! single-extent file (BtrLog-style group commit), the single REDO source.
@@ -20,19 +21,39 @@
 //! acknowledged as durable, because an acknowledged group's barrier also
 //! hardened every group before it.
 //!
-//! Truncation is *one CP late*: the consistency point numbered `c` embeds a
-//! tail that drops only groups whose newest entry is stamped `c - 1` or
-//! older. Entries are appended inside the same shard critical section that
-//! publishes their records (see `BacklogEngine`), so an entry stamped `c` is
-//! flushed into runs no later than CP `c + 1` — by the time a group is
-//! truncated, every entry in it is durable in the read stores, even for
-//! unfenced concurrent callbacks.
+//! # The frontier
+//!
+//! Entries are numbered by LSN in append order, and a callback appends its
+//! entry *inside* the critical section that mutates the write stores — the
+//! touched partition's `From` and `To` shard guards, taken together. A
+//! consistency point cuts each partition under those same two guards: it
+//! stages both shards and reads `L_p`, the newest LSN appended so far,
+//! before releasing them. No callback can land between the two stagings, so
+//! the cut is atomic: every entry of partition `p` with an LSN at or below
+//! `L_p` has its whole effect in the staged sets (or cancelled against
+//! another such entry before reaching them), and every later entry has
+//! none. The manifest frame that makes the staged sets durable records the
+//! vector `[L_p]` — the *frontier* — so it becomes true atomically with the
+//! superblock flip; a failed CP discards its frontier with its staged sets.
+//!
+//! * **Replay is a filter.** [`replay`] applies a recovered entry iff its
+//!   LSN lies beyond the frontier of its block's partition, in LSN order,
+//!   and does not journal it again — it is still in the ring under its
+//!   original LSN, so crashing during or after recovery replays the same
+//!   entries once more, never twice over.
+//! * **Truncation is exact.** The tail a CP's superblock records is the
+//!   first group holding an entry beyond `min_p L_p`; everything older is in
+//!   runs and its pages are free the moment the flip is durable. After a
+//!   quiescent CP the ring is empty.
+//! * **LSNs never restart.** A scan that finds the ring empty still resumes
+//!   numbering above the recorded frontier, so an LSN compares the same way
+//!   against a frontier before and after any number of crashes.
 
 // Decode-surface module: recovery paths must return errors, never panic
 // (enforced by `backlint` panic-free and audited by clippy here).
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
 use blockdev::{fnv1a64, Device, FileId, PageNo, PAGE_SIZE};
@@ -40,6 +61,7 @@ use lsm::Record;
 use obs::{Clock, FlightRecorder, Histogram};
 use parking_lot::Mutex;
 
+use crate::batch::RefOp;
 use crate::engine::BacklogEngine;
 use crate::error::{BacklogError, Result};
 use crate::record::RefIdentity;
@@ -72,10 +94,11 @@ impl JournalEntry {
     /// Encoded size of one entry in bytes (1 tag byte + a 48-byte record).
     pub const ENCODED_LEN: usize = 1 + 48;
 
-    /// The CP interval this entry belongs to.
-    pub fn cp(&self) -> CpNumber {
-        match self {
-            JournalEntry::Add { cp, .. } | JournalEntry::Remove { cp, .. } => *cp,
+    /// The reference operation this entry logged.
+    pub fn op(&self) -> RefOp {
+        match *self {
+            JournalEntry::Add { block, owner, .. } => RefOp::Add { block, owner },
+            JournalEntry::Remove { block, owner, .. } => RefOp::Remove { block, owner },
         }
     }
 
@@ -99,7 +122,7 @@ impl JournalEntry {
     /// entry kind — a corrupt journal must surface as an error the host can
     /// act on, not a panic in the middle of recovery.
     pub fn decode(buf: &[u8]) -> Result<Self> {
-        if buf.len() < Self::ENCODED_LEN {
+        let (Some(&tag), Some(body)) = (buf.first(), buf.get(1..Self::ENCODED_LEN)) else {
             return Err(BacklogError::Recovery {
                 detail: format!(
                     "journal entry truncated: {} of {} bytes",
@@ -107,14 +130,6 @@ impl JournalEntry {
                     Self::ENCODED_LEN
                 ),
             });
-        }
-        let (tag, body) = match (buf.first(), buf.get(1..1 + 48)) {
-            (Some(&tag), Some(body)) => (tag, body),
-            _ => {
-                return Err(BacklogError::Recovery {
-                    detail: "journal entry truncated".to_string(),
-                })
-            }
         };
         let rec = crate::record::CombinedRecord::decode(body);
         let owner = rec.identity.owner();
@@ -135,6 +150,13 @@ impl JournalEntry {
             }),
         }
     }
+}
+
+/// Drops the prefix of `entries` — consecutive LSNs from `first_lsn` — at or
+/// below `through`.
+fn drop_through(entries: &mut Vec<JournalEntry>, first_lsn: u64, through: u64) {
+    let covered = (through + 1).saturating_sub(first_lsn);
+    entries.drain(..(covered as usize).min(entries.len()));
 }
 
 /// Magic bytes opening every group header in the on-device ring.
@@ -184,9 +206,9 @@ struct GroupSpan {
     pages: u64,
     /// The group's sequence number.
     seq: u64,
-    /// Newest CP stamp among the group's entries, which decides when the
-    /// one-CP-late truncation may drop it.
-    max_cp: CpNumber,
+    /// LSN of the group's newest entry: a CP whose frontier covers it may
+    /// truncate the group.
+    last_lsn: u64,
 }
 
 #[derive(Debug)]
@@ -204,9 +226,17 @@ struct RingState {
     /// Durable groups from oldest (tail) to newest, for space accounting
     /// and truncation.
     live: VecDeque<GroupSpan>,
+    /// `min_p L_p` of the newest durable CP: every entry at or below it is
+    /// in runs.
+    frontier_lsn: u64,
 }
 
 impl RingState {
+    /// LSN of the oldest pending entry (`next_lsn` when none is pending).
+    fn first_pending_lsn(&self) -> u64 {
+        self.next_lsn - self.pending.len() as u64
+    }
+
     /// Pages between the tail (oldest live group) and the head, including
     /// any wrap gap that was skipped because a group would not fit at the
     /// end of the ring.
@@ -232,6 +262,9 @@ pub struct JournalRingStats {
     pub ring_pages: u64,
     /// Durable groups not yet truncated.
     pub live_groups: u64,
+    /// Ring pages from the oldest live group to the head — what a scan at
+    /// reopen would read, and what counts against the capacity.
+    pub live_pages: u64,
     /// Sequence number the next group will carry (counts every group ever
     /// committed, so it keeps growing across wrap-arounds).
     pub next_seq: u64,
@@ -243,6 +276,10 @@ pub struct JournalRingStats {
     pub appended_lsn: u64,
     /// Entries appended but not yet committed to the device.
     pub pending_entries: usize,
+    /// `min_p L_p` of the newest durable CP (see the module docs): every
+    /// entry at or below it is in runs, and `appended_lsn - frontier_lsn`
+    /// is at most what a crash right now would replay.
+    pub frontier_lsn: u64,
 }
 
 /// What a ring scan found, returned by [`JournalRing::recover`].
@@ -250,12 +287,14 @@ pub struct JournalRingStats {
 pub struct RecoveredRing {
     /// The ring, ready for new appends after the recovered groups.
     pub ring: JournalRing,
-    /// Every entry in the surviving groups, oldest first.
-    pub entries: Vec<JournalEntry>,
-    /// LSN of the newest surviving entry (0 if none survived). Because
-    /// groups are written and validated as prefixes, every acknowledged
-    /// entry — and possibly some never-acknowledged ones — with an LSN at
-    /// or below this survived.
+    /// Every entry in the surviving groups with its LSN, oldest first.
+    pub entries: Vec<(u64, JournalEntry)>,
+    /// The LSN the ring resumes after: the newest surviving entry's, or the
+    /// recorded frontier if that is higher (the ring was truncated past
+    /// everything it held). Because groups are written and validated as
+    /// prefixes, every acknowledged entry — and possibly some
+    /// never-acknowledged ones — with an LSN at or below this survived, in
+    /// runs or in `entries`.
     pub last_lsn: u64,
 }
 
@@ -312,6 +351,7 @@ impl JournalRing {
                 durable_lsn: 0,
                 pending: Vec::new(),
                 live: VecDeque::new(),
+                frontier_lsn: 0,
             }),
             obs: OnceLock::new(),
         }
@@ -380,11 +420,13 @@ impl JournalRing {
         JournalRingStats {
             ring_pages: self.pages,
             live_groups: st.live.len() as u64,
+            live_pages: st.used_pages(self.pages),
             next_seq: st.next_seq,
             head: st.head,
             durable_lsn: st.durable_lsn,
             appended_lsn: st.next_lsn - 1,
             pending_entries: st.pending.len(),
+            frontier_lsn: st.frontier_lsn,
         }
     }
 
@@ -395,10 +437,10 @@ impl JournalRing {
     /// returns without issuing any I/O. Returns the durable LSN frontier.
     ///
     /// On failure nothing is acknowledged: the head and sequence counters
-    /// do not advance, the entries return to the pending segment in order,
-    /// and a retry rewrites the same offsets with the same sequence numbers
-    /// (recovery rejects any half-written garbage from the failed attempt
-    /// by checksum or sequence mismatch).
+    /// do not advance, the entries no CP has covered meanwhile return to the
+    /// pending segment in order, and a retry rewrites the same offsets with
+    /// the same sequence numbers (recovery rejects any half-written garbage
+    /// from the failed attempt by checksum or sequence mismatch).
     ///
     /// # Errors
     ///
@@ -414,12 +456,12 @@ impl JournalRing {
         // coalesce span closes when the guard drops — including on the
         // nothing-pending and ring-full early returns.
         let coalesce_span = obs.map(|o| o.recorder.span(obs::spans::GC_COALESCE, 0));
-        let (batch, first_lsn, first_seq, chunks) = {
+        let (mut batch, first_lsn, first_seq, chunks) = {
             let mut st = self.state.lock();
             if st.pending.is_empty() {
                 return Ok(st.durable_lsn);
             }
-            let first_lsn = st.next_lsn - st.pending.len() as u64;
+            let first_lsn = st.first_pending_lsn();
             let mut chunks: Vec<(u64, usize, usize)> = Vec::new(); // (offset, from, to)
             let mut pos = st.head;
             let mut used = st.used_pages(self.pages);
@@ -472,7 +514,7 @@ impl JournalRing {
                 offset: off,
                 pages: gp,
                 seq,
-                max_cp: chunk.iter().map(JournalEntry::cp).max().unwrap_or(0),
+                last_lsn: first_lsn + to as u64 - 1,
             });
         }
         drop(write_span);
@@ -493,7 +535,9 @@ impl JournalRing {
                     };
                 }
                 st.next_seq = first_seq + spans.len() as u64;
-                st.durable_lsn = first_lsn + batch.len() as u64 - 1;
+                // `max`: a CP that covered this batch while it was in flight
+                // may already have advanced the frontier past it.
+                st.durable_lsn = st.durable_lsn.max(first_lsn + batch.len() as u64 - 1);
                 st.live.extend(spans);
                 if let Some(o) = obs {
                     o.recorder
@@ -504,7 +548,11 @@ impl JournalRing {
                 Ok(st.durable_lsn)
             }
             Err(e) => {
-                // Put the batch back in front of anything appended since.
+                // Put the batch back in front of anything appended since —
+                // minus the prefix a CP covered (and `commit_truncate`
+                // dropped from the pending side) while the write was in
+                // flight, so the segment stays LSN-contiguous.
+                drop_through(&mut batch, first_lsn, st.durable_lsn);
                 let newer = std::mem::replace(&mut st.pending, batch);
                 st.pending.extend(newer);
                 Err(e.into())
@@ -512,34 +560,40 @@ impl JournalRing {
         }
     }
 
-    /// Computes the ring tail a durable CP numbered `through + 1` should
-    /// record in its superblock: the oldest group whose newest entry is
-    /// stamped *after* `through` (one CP late — see the module docs). Pure;
-    /// the in-memory state advances only in
+    /// Computes the ring tail a durable CP should record in its superblock,
+    /// given `frontier = min_p L_p` of the cut it is about to make durable:
+    /// the oldest group holding an entry beyond the frontier, or the head if
+    /// there is none. Pure; the in-memory state advances only in
     /// [`commit_truncate`](Self::commit_truncate) once the CP's flip is
     /// durable, so an aborted CP leaves the journal intact.
-    pub fn prepare_truncate(&self, through: CpNumber) -> (u64, u64) {
+    pub fn prepare_truncate(&self, frontier: u64) -> (u64, u64) {
         let st = self.state.lock();
         st.live
             .iter()
-            .find(|g| g.max_cp > through)
+            .find(|g| g.last_lsn > frontier)
             .map(|g| (g.offset, g.seq))
             .unwrap_or((st.head, st.next_seq))
     }
 
     /// Applies the truncation computed by
     /// [`prepare_truncate`](Self::prepare_truncate) after the CP's
-    /// superblock flip is durable: drops the covered groups and any pending
-    /// entries whose CP interval the flush made durable.
-    pub fn commit_truncate(&self, through: CpNumber) {
+    /// superblock flip is durable: drops the groups before `tail_seq` — by
+    /// sequence, so a group committed since the tail was computed stays as
+    /// live in memory as it is on the device — and the pending entries at
+    /// or below `frontier`, which the flush just made durable.
+    pub fn commit_truncate(&self, tail_seq: u64, frontier: u64) {
         let mut st = self.state.lock();
-        while st.live.front().is_some_and(|g| g.max_cp <= through) {
+        while st.live.front().is_some_and(|g| g.seq < tail_seq) {
             st.live.pop_front();
         }
-        st.pending.retain(|e| e.cp() > through);
+        let first_pending = st.first_pending_lsn();
+        drop_through(&mut st.pending, first_pending, frontier);
+        st.durable_lsn = st.durable_lsn.max(frontier);
+        st.frontier_lsn = frontier;
     }
 
-    /// Scans a ring from its superblock-recorded tail, accepting groups
+    /// Scans a ring from its superblock-recorded tail `(page, seq)` — what
+    /// [`prepare_truncate`](Self::prepare_truncate) computed — accepting groups
     /// while the header validates (magic, checksum, entry framing) and the
     /// sequence chain stays contiguous; the first failure ends the scan. A
     /// break in the chain at a non-zero offset is retried once at offset 0,
@@ -550,40 +604,50 @@ impl JournalRing {
     /// acknowledged it also hardened all earlier groups, so an invalid
     /// group can only be followed by unacknowledged ones.
     ///
+    /// `floor_lsn` is the newest LSN the durable CP's frontier names; the
+    /// recovered ring resumes numbering above both it and every surviving
+    /// entry (exact truncation routinely leaves the ring empty).
+    ///
     /// # Errors
     ///
     /// Propagates device read errors other than unwritten pages (an
-    /// unwritten page is a valid end of the log).
+    /// unwritten page is a valid end of the log), and returns
+    /// [`BacklogError::Recovery`] for a `floor_lsn` within one ring capacity
+    /// of `u64::MAX` — no engine wrote it, and LSN arithmetic above it
+    /// could overflow.
     pub fn recover(
         device: Arc<dyn Device>,
         file: FileId,
         start: PageNo,
         pages: u64,
         group_size: usize,
-        tail_page: u64,
-        tail_seq: u64,
+        (tail_page, tail_seq): (u64, u64),
+        floor_lsn: u64,
     ) -> Result<RecoveredRing> {
+        if floor_lsn > lsn_ceiling(pages) {
+            return Err(BacklogError::Recovery {
+                detail: format!("journal frontier {floor_lsn} leaves no LSN space"),
+            });
+        }
         let mut off = tail_page;
         let mut seq = tail_seq;
         let mut consumed = 0u64;
         let mut wrapped = off == 0;
         let mut live = VecDeque::new();
         let mut entries = Vec::new();
-        let mut last_lsn = 0u64;
-        loop {
-            if consumed >= pages {
-                break;
-            }
+        let mut last_lsn = floor_lsn;
+        while consumed < pages {
             match read_group(device.as_ref(), start, pages, off, seq)? {
                 Some((first_lsn, group, gp)) if gp <= pages - consumed => {
-                    last_lsn = first_lsn + group.len() as u64 - 1;
+                    let group_last = first_lsn + group.len() as u64 - 1;
+                    last_lsn = last_lsn.max(group_last);
                     live.push_back(GroupSpan {
                         offset: off,
                         pages: gp,
                         seq,
-                        max_cp: group.iter().map(JournalEntry::cp).max().unwrap_or(0),
+                        last_lsn: group_last,
                     });
-                    entries.extend(group);
+                    entries.extend((first_lsn..).zip(group));
                     seq += 1;
                     consumed += gp;
                     off += gp;
@@ -608,23 +672,15 @@ impl JournalRing {
                 }
             }
         }
-        let head = if off == pages { 0 } else { off };
-        let ring = JournalRing {
-            device,
-            file,
-            start,
-            pages,
-            group_size,
-            commit_lock: Mutex::new(()),
-            state: Mutex::new(RingState {
-                head,
-                next_seq: seq,
-                next_lsn: last_lsn + 1,
-                durable_lsn: last_lsn,
-                pending: Vec::new(),
-                live,
-            }),
-            obs: OnceLock::new(),
+        let ring = JournalRing::new(device, file, start, pages, group_size);
+        *ring.state.lock() = RingState {
+            head: if off == pages { 0 } else { off },
+            next_seq: seq,
+            next_lsn: last_lsn + 1,
+            durable_lsn: last_lsn,
+            pending: Vec::new(),
+            live,
+            frontier_lsn: floor_lsn,
         };
         Ok(RecoveredRing {
             ring,
@@ -634,11 +690,18 @@ impl JournalRing {
     }
 }
 
+/// The highest LSN a scan of a `pages`-page ring accepts — one ring's worth
+/// of entries below `u64::MAX` — so `last_lsn + 1` and the LSNs of whatever
+/// the ring can hold next never overflow on bytes no engine wrote.
+fn lsn_ceiling(pages: u64) -> u64 {
+    u64::MAX - pages.saturating_mul((PAGE_SIZE / JournalEntry::ENCODED_LEN) as u64)
+}
+
 /// Reads and validates one group at ring offset `off`, expecting sequence
 /// `seq`. Returns `None` for anything that fails validation — unwritten
 /// pages, bad magic, a stale or future sequence, an impossible entry count,
-/// a checksum mismatch (torn or partially persisted group) or a corrupt
-/// entry — so the scan stops there.
+/// a checksum mismatch (torn or partially persisted group), LSNs beyond
+/// [`lsn_ceiling`] or a corrupt entry — so the scan stops there.
 fn read_group(
     device: &dyn Device,
     start: PageNo,
@@ -684,8 +747,9 @@ fn read_group(
         Some(span) if checksum == Some(fnv1a64(span)) => {}
         _ => return Ok(None),
     }
-    let Some(first_lsn) = group_u64(&buf, 24) else {
-        return Ok(None);
+    let first_lsn = match group_u64(&buf, 24) {
+        Some(lsn) if lsn <= lsn_ceiling(pages).saturating_sub(count as u64) => lsn,
+        _ => return Ok(None),
     };
     let mut entries = Vec::with_capacity(count);
     for i in 0..count {
@@ -712,97 +776,39 @@ fn group_u64(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_be_bytes(buf.get(at..at + 8)?.try_into().ok()?))
 }
 
-/// Replays journal entries into an engine whose on-disk state is at the last
-/// complete consistency point, reconstructing the write-store contents that
-/// were lost in the crash.
+/// Replays recovered journal entries into an engine whose on-disk state is
+/// at the last complete consistency point, reconstructing the write-store
+/// contents that were lost in the crash.
 ///
-/// Because truncation runs one CP late, a recovered journal holds three
-/// bands relative to the engine's current CP interval `c`:
+/// `frontier[p]` is the newest LSN that CP's flush covered in partition `p`
+/// (see the module docs). The rule is a filter: an entry is applied iff its
+/// LSN lies beyond the frontier of its block's partition — everything at or
+/// below it is in runs, everything above it is in no run — in LSN order.
+/// Nothing is looked up: replay reads no table, issues no device I/O and
+/// cannot fail, and it journals nothing (the applied entries are still in
+/// the ring under their original LSNs). A frontier ahead of every recovered
+/// LSN is legal — the ring was truncated past it — and applies nothing.
 ///
-/// * entries stamped below `c - 1` are durable in the read stores and are
-///   skipped;
-/// * entries stamped exactly `c - 1` *may* already be durable (the crash hit
-///   after the flush that covered them but before the next CP truncated
-///   them). Their per-identity net effect is compared against the durable
-///   state and only the difference is applied, which keeps replay idempotent
-///   and the engine's counters exact. The presence check counts *raw* table
-///   records (`From` plus live `Combined` versus `To`) rather than a
-///   liveness query, so a durable entry whose owner a later lineage
-///   operation masked — a snapshot deleted after the add, say — is still
-///   recognized as durable and never double-applied;
-/// * entries stamped `c` or later are applied unconditionally, in order.
-///
-/// Takes `&BacklogEngine` — the reference callbacks are `&self`, so replay
-/// can feed a recovered engine that other threads are already allowed to
-/// see (REDO-only recovery does not need exclusive access).
-///
-/// Returns the number of entries applied.
-///
-/// # Errors
-///
-/// Propagates query errors from the boundary-interval reconciliation reads.
-pub fn replay(engine: &BacklogEngine, entries: &[JournalEntry]) -> Result<usize> {
-    let current = engine.current_cp();
-    let boundary = current.saturating_sub(1);
-    let mut applied = 0;
-    let mut net: BTreeMap<(BlockNo, Owner), bool> = BTreeMap::new();
-    for entry in entries {
-        if entry.cp() == boundary {
-            match *entry {
-                JournalEntry::Add { block, owner, .. } => net.insert((block, owner), true),
-                JournalEntry::Remove { block, owner, .. } => net.insert((block, owner), false),
-            };
-        }
-    }
-    for ((block, owner), add) in net {
-        let present = raw_presence(engine, block, owner)?;
-        if add != present {
-            if add {
-                engine.add_reference(block, owner);
-            } else {
-                engine.remove_reference(block, owner);
-            }
-            applied += 1;
-        }
-    }
-    for entry in entries {
-        if entry.cp() < current {
-            continue;
-        }
-        match *entry {
-            JournalEntry::Add { block, owner, .. } => engine.add_reference(block, owner),
-            JournalEntry::Remove { block, owner, .. } => engine.remove_reference(block, owner),
-        }
-        applied += 1;
-    }
-    Ok(applied)
-}
-
-/// Whether `owner`'s reference to `block` is open in the raw tables: `From`
-/// records plus live `Combined` records outnumber `To` records for the
-/// identity. Deliberately ignores lineage masking — reconciliation must see
-/// a durable record even when its owner has since been masked dead.
-fn raw_presence(engine: &BacklogEngine, block: BlockNo, owner: Owner) -> Result<bool> {
-    let id = crate::record::RefIdentity::new(block, owner);
-    let opens = engine
-        .from_table()
-        .query_range(block, block)?
+/// Takes `&BacklogEngine`: the callbacks are `&self`, so REDO-only recovery
+/// needs no exclusive access. Returns the number of entries applied.
+pub fn replay(
+    engine: &BacklogEngine,
+    recovered: &[(u64, JournalEntry)],
+    frontier: &[u64],
+) -> usize {
+    let partitioning = engine.config().partitioning;
+    let beyond = |lsn: u64, op: &RefOp| {
+        let pidx = partitioning.partition_of(op.block()) as usize;
+        frontier.get(pidx).is_none_or(|&covered| lsn > covered)
+    };
+    let ops: Vec<RefOp> = recovered
         .iter()
-        .filter(|r| r.identity == id)
-        .count()
-        + engine
-            .combined_table()
-            .query_range(block, block)?
-            .iter()
-            .filter(|r| r.identity == id && r.is_live())
-            .count();
-    let closes = engine
-        .to_table()
-        .query_range(block, block)?
-        .iter()
-        .filter(|r| r.identity == id)
-        .count();
-    Ok(opens > closes)
+        .map(|(lsn, entry)| (*lsn, entry.op()))
+        .filter(|(lsn, op)| beyond(*lsn, op))
+        .map(|(_, op)| op)
+        .collect();
+    engine.apply_ops(&ops, false);
+    ops.len()
 }
 
 #[cfg(test)]
@@ -838,7 +844,13 @@ mod tests {
             e.encode(&mut buf);
             assert_eq!(JournalEntry::decode(&buf).unwrap(), e);
         }
-        assert_eq!(add.cp(), 7);
+        assert_eq!(
+            rm.op(),
+            RefOp::Remove {
+                block: 10,
+                owner: Owner::extent(4, 5, LineId(0), 8)
+            }
+        );
     }
 
     #[test]
@@ -913,6 +925,11 @@ mod tests {
         assert!(read_group(disk.as_ref(), 0, 2, 0, 7).unwrap().is_none());
     }
 
+    /// Numbers `entries` 1, 2, 3 … as a fresh ring would.
+    fn numbered(entries: &[JournalEntry]) -> Vec<(u64, JournalEntry)> {
+        (1..).zip(entries.iter().copied()).collect()
+    }
+
     #[test]
     fn replay_restores_unflushed_write_store_contents() {
         // "Crash" scenario: build two engines that share the same durable
@@ -929,14 +946,19 @@ mod tests {
         live.add_reference(200, lost_owner);
         live.remove_reference(100, durable_owner);
         let cp = live.current_cp();
-        let journal = [add(200, lost_owner, cp), remove(100, durable_owner, cp)];
+        // LSN 1 is the durable add; the frontier covers exactly it.
+        let journal = numbered(&[
+            add(100, durable_owner, cp - 1),
+            add(200, lost_owner, cp),
+            remove(100, durable_owner, cp),
+        ]);
 
         // The "recovered" engine has only the durable state.
         let recovered = BacklogEngine::new_simulated(config);
         recovered.add_reference(100, durable_owner);
         recovered.consistency_point().unwrap();
 
-        assert_eq!(replay(&recovered, &journal).unwrap(), 2);
+        assert_eq!(replay(&recovered, &journal, &[1]), 2);
 
         // After replay the recovered engine answers queries exactly like the
         // engine that never crashed.
@@ -947,70 +969,72 @@ mod tests {
                 "block {block} diverged after recovery"
             );
         }
+        assert_eq!(recovered.stats().refs_added, live.stats().refs_added);
+        assert_eq!(recovered.stats().refs_removed, live.stats().refs_removed);
     }
 
     #[test]
-    fn replay_reconciles_boundary_interval_entries() {
-        // Truncation is one CP late, so entries of the interval *before* the
-        // current one can reappear in a recovered journal even though their
-        // effects are already durable. Replay must not double-apply them —
-        // including an add+remove pair that cancelled before the flush.
-        let engine = BacklogEngine::new_simulated(BacklogConfig::default().without_timing());
+    fn replay_applies_exactly_the_entries_beyond_their_partitions_frontier() {
+        // Two partitions of 1 000 blocks; the frontier says partition 0's
+        // cut covered LSNs up to 4 and partition 1's up to 2. Whether an
+        // entry is applied is decided by its LSN alone — including an
+        // add+remove pair that cancelled before the flush (nothing in any
+        // table says it ever happened) and an entry whose effect is
+        // *missing* from the durable state because it raced the cut.
+        let engine =
+            BacklogEngine::new_simulated(BacklogConfig::partitioned(2, 2_000).without_timing());
         let owner = Owner::block(1, 0, LineId::ROOT);
         let transient = Owner::block(2, 1, LineId::ROOT);
+        let raced = Owner::block(3, 2, LineId::ROOT);
         engine.add_reference(1, owner);
-        engine.add_reference(2, transient);
-        engine.remove_reference(2, transient);
+        engine.add_reference(1_500, owner);
         engine.consistency_point().unwrap();
         let before = engine.stats();
 
-        let journal = [
-            add(1, owner, 1),
-            add(2, transient, 1),
-            remove(2, transient, 1),
-        ];
-        assert_eq!(replay(&engine, &journal).unwrap(), 0);
-        assert_eq!(engine.live_owners(1).unwrap().len(), 1);
-        assert_eq!(engine.live_owners(2).unwrap().len(), 0);
+        let journal = numbered(&[
+            add(1, owner, 1),        // 1: p0, covered
+            add(1_500, owner, 1),    // 2: p1, covered
+            add(1_700, raced, 1),    // 3: p1, beyond its frontier
+            add(2, transient, 1),    // 4: p0, covered …
+            remove(2, transient, 1), // 5: p0, … but this half is not
+        ]);
+        assert_eq!(replay(&engine, &journal, &[4, 2]), 2);
+        assert_eq!(engine.live_owners(1).unwrap(), vec![owner]);
+        assert_eq!(engine.live_owners(1_500).unwrap(), vec![owner]);
+        assert_eq!(engine.live_owners(1_700).unwrap(), vec![raced]);
         let after = engine.stats();
-        assert_eq!(before.refs_added, after.refs_added);
-        assert_eq!(before.refs_removed, after.refs_removed);
+        assert_eq!(after.refs_added, before.refs_added + 1);
+        assert_eq!(after.refs_removed, before.refs_removed + 1);
 
-        // A boundary entry whose effect is *missing* from the durable state
-        // (the unfenced-callback shape) is applied.
-        let raced = Owner::block(3, 2, LineId::ROOT);
-        assert_eq!(replay(&engine, &[add(5, raced, 1)]).unwrap(), 1);
-        assert_eq!(engine.live_owners(5).unwrap(), vec![raced]);
+        // A frontier ahead of every recovered LSN is legal — the ring was
+        // truncated past it — and applies nothing.
+        assert_eq!(replay(&engine, &journal, &[9, 9]), 0);
+        assert_eq!(engine.stats(), after);
     }
 
     #[test]
-    fn replay_recognizes_durable_boundary_entries_behind_lineage_masking() {
-        // Regression: the presence check must read the raw tables, not a
-        // liveness query. A boundary add whose owner was masked dead by a
-        // *later* lineage operation (a snapshot deleted between the flush
-        // and the crash) is invisible to `live_owners`; replay must still
-        // treat it as durable rather than re-applying it.
+    fn replay_never_reapplies_a_covered_entry_whose_owner_was_since_masked() {
+        // A durable add whose owner a *later* lineage operation masked dead
+        // (a snapshot deleted between the flush and the crash) is invisible
+        // to every query. Replay must still not re-apply it — and does not
+        // need to find it: its LSN is at or below the frontier.
         let engine = BacklogEngine::new_simulated(BacklogConfig::default().without_timing());
         let snap = engine.take_snapshot(LineId::ROOT);
         let clone = engine.create_clone(snap);
         let masked = Owner::block(4, 0, clone);
         engine.add_reference(9, masked);
         engine.consistency_point().unwrap();
-        let boundary = engine.current_cp() - 1;
         // The clone line dies: the durable add is now masked from queries.
         engine.delete_line(clone);
         engine.delete_snapshot(snap);
         assert!(engine.live_owners(9).unwrap().is_empty(), "masked dead");
         let before = engine.stats();
 
-        assert_eq!(
-            replay(&engine, &[add(9, masked, boundary)]).unwrap(),
-            0,
-            "durable, not missing"
-        );
-        let after = engine.stats();
-        assert_eq!(before.refs_added, after.refs_added);
+        let journal = numbered(&[add(9, masked, 1)]);
+        assert_eq!(replay(&engine, &journal, &[1]), 0, "covered, not missing");
+        assert_eq!(engine.stats(), before);
         assert!(engine.live_owners(9).unwrap().is_empty());
+        assert_eq!(engine.from_table().scan_all().unwrap().len(), 1);
     }
 
     fn ring_on(device: &Arc<SimDisk>, pages: u64, group_size: usize) -> JournalRing {
@@ -1023,6 +1047,15 @@ mod tests {
     }
 
     fn reopen(device: &Arc<SimDisk>, ring: &JournalRing, tail: (u64, u64)) -> RecoveredRing {
+        reopen_above(device, ring, tail, 0)
+    }
+
+    fn reopen_above(
+        device: &Arc<SimDisk>,
+        ring: &JournalRing,
+        tail: (u64, u64),
+        floor_lsn: u64,
+    ) -> RecoveredRing {
         let dev: Arc<dyn Device> = device.clone();
         JournalRing::recover(
             dev,
@@ -1030,10 +1063,15 @@ mod tests {
             ring.start_page(),
             ring.ring_pages(),
             8,
-            tail.0,
-            tail.1,
+            tail,
+            floor_lsn,
         )
         .unwrap()
+    }
+
+    /// The recovered entries without their LSNs.
+    fn bare(rec: &RecoveredRing) -> Vec<JournalEntry> {
+        rec.entries.iter().map(|&(_, e)| e).collect()
     }
 
     #[test]
@@ -1053,9 +1091,10 @@ mod tests {
         let rec = reopen(&disk, &ring, (0, 1));
         assert_eq!(rec.last_lsn, 3);
         assert_eq!(rec.entries.len(), 3);
-        assert_eq!(rec.entries[0], entry(1, 1));
+        assert_eq!(rec.entries[0], (1, entry(1, 1)));
+        assert_eq!(rec.entries[2].0, 3, "LSN = group first_lsn + index");
         let st = rec.ring.stats();
-        assert_eq!(st.live_groups, 1);
+        assert_eq!((st.live_groups, st.live_pages), (1, 1));
         assert_eq!(st.next_seq, 2);
         assert_eq!(st.durable_lsn, 3);
     }
@@ -1073,14 +1112,14 @@ mod tests {
         let torn_page = ring.start_page() + 1;
         disk.tear_page(torn_page, &[0xAA; PAGE_SIZE], 17).unwrap();
         let rec = reopen(&disk, &ring, (0, 1));
-        assert_eq!(rec.entries, vec![entry(1, 1)], "acked first group survives");
+        assert_eq!(bare(&rec), vec![entry(1, 1)], "acked first group survives");
         assert_eq!(rec.last_lsn, 1);
         // The recovered ring resumes writing over the torn group.
         assert_eq!(rec.ring.stats().head, 1);
         rec.ring.append(entry(3, 2));
         rec.ring.sync().unwrap();
         let rec2 = reopen(&disk, &rec.ring, (0, 1));
-        assert_eq!(rec2.entries, vec![entry(1, 1), entry(3, 2)]);
+        assert_eq!(rec2.entries, vec![(1, entry(1, 1)), (2, entry(3, 2))]);
     }
 
     #[test]
@@ -1104,36 +1143,41 @@ mod tests {
         // A tail pointing at the *second* group (as a later CP would record)
         // still recovers it, and a stale expected sequence recovers nothing.
         let rec = reopen(&disk, &ring, (1, 2));
-        assert_eq!(rec.entries, vec![entry(2, 1)]);
+        assert_eq!(rec.entries, vec![(2, entry(2, 1))]);
         let rec = reopen(&disk, &ring, (1, 7));
         assert!(rec.entries.is_empty());
     }
 
     #[test]
-    fn ring_truncates_one_cp_late_and_wraps() {
+    fn ring_truncates_exactly_and_wraps() {
         let disk = Arc::new(SimDisk::new(DeviceConfig::free_latency()));
         let ring = ring_on(&disk, 4, 0);
-        let mut tail = (0u64, 1u64);
-        // Many CP rounds on a tiny ring force several wrap-arounds.
+        // Many CP rounds on a tiny ring force several wrap-arounds. Each
+        // round commits one group for LSN `cp`; the CP's frontier lags one
+        // entry behind on odd rounds and is exact on even ones.
         for cp in 1..=20u64 {
             ring.append(entry(cp, cp));
-            ring.sync().unwrap();
-            let next_tail = ring.prepare_truncate(cp.saturating_sub(1));
-            ring.commit_truncate(cp.saturating_sub(1));
-            // One CP late: the group stamped `cp` must still be recoverable
-            // from the tail this CP would record.
-            let rec = reopen(&disk, &ring, next_tail);
-            assert!(
-                rec.entries.contains(&entry(cp, cp)),
-                "cp {cp}: current interval's group must survive its own CP"
-            );
-            tail = next_tail;
+            assert_eq!(ring.sync().unwrap(), cp);
+            let frontier = cp - cp % 2;
+            let tail = ring.prepare_truncate(frontier);
+            ring.commit_truncate(tail.1, frontier);
+            let rec = reopen_above(&disk, &ring, tail, frontier);
+            assert_eq!(rec.last_lsn, cp, "cp {cp}");
+            let st = ring.stats();
+            if frontier == cp {
+                // Covered to the last entry: the ring is empty, the tail is
+                // the head, and a reopen recovers nothing.
+                assert!(rec.entries.is_empty(), "cp {cp}");
+                assert_eq!((st.live_groups, st.live_pages), (0, 0), "cp {cp}");
+            } else {
+                // The group holding an entry beyond the frontier survives
+                // its own CP — and only that group.
+                assert_eq!(rec.entries, vec![(cp, entry(cp, cp))], "cp {cp}");
+                assert_eq!((st.live_groups, st.live_pages), (1, 1), "cp {cp}");
+            }
+            assert_eq!(st.frontier_lsn, frontier);
         }
-        let st = ring.stats();
-        assert!(st.next_seq > 20, "every round commits a group");
-        assert_eq!(st.live_groups, 1, "all but the newest group truncated");
-        let rec = reopen(&disk, &ring, tail);
-        assert_eq!(rec.entries, vec![entry(20, 20)]);
+        assert!(ring.stats().next_seq > 20, "every round commits a group");
     }
 
     #[test]
@@ -1148,15 +1192,109 @@ mod tests {
         let err = ring.sync().unwrap_err();
         assert!(matches!(err, BacklogError::JournalFull { .. }), "{err}");
         assert_eq!(ring.stats().pending_entries, 1, "pending entry survives");
-        // A CP frees the ring; the pending entry (stamped in the next CP
-        // interval, so not covered by the truncation) then commits.
-        ring.commit_truncate(1);
+        // A CP whose cut covered LSNs 1 and 2 frees the ring; the pending
+        // entry (beyond the frontier) then commits.
+        let tail = ring.prepare_truncate(2);
+        ring.commit_truncate(tail.1, 2);
+        assert_eq!(ring.stats().live_groups, 0);
         assert_eq!(ring.sync().unwrap(), 3);
-        // Pending entries the CP itself made durable are pruned instead of
-        // wasting ring space.
+        // Pending entries the CP itself made durable are dropped instead of
+        // being group-committed later — and count as durable at once.
         ring.append(entry(4, 2));
-        ring.commit_truncate(2);
-        assert_eq!(ring.stats().pending_entries, 0, "durable entry pruned");
+        ring.append(entry(5, 2));
+        let tail = ring.prepare_truncate(4);
+        ring.commit_truncate(tail.1, 4);
+        let st = ring.stats();
+        assert_eq!((st.pending_entries, st.durable_lsn), (1, 4));
+        // What is left keeps its LSN: the next group starts at 5.
+        assert_eq!(ring.sync().unwrap(), 5);
+        let rec = reopen_above(&disk, &ring, tail, 4);
+        assert_eq!(rec.entries, vec![(5, entry(5, 2))]);
+    }
+
+    #[test]
+    fn truncation_is_by_sequence_so_memory_never_runs_ahead_of_the_device() {
+        // A group committed between `prepare_truncate` and
+        // `commit_truncate` (a writer's group commit racing the CP's flip)
+        // lies at the tail the superblock recorded. Even if every entry in
+        // it is at or below the frontier, it must stay live in memory until
+        // a later CP moves the durable tail past it — or the writer could
+        // wrap onto the page recovery starts scanning from.
+        let disk = Arc::new(SimDisk::new(DeviceConfig::free_latency()));
+        let ring = ring_on(&disk, 4, 0);
+        ring.append(entry(1, 1));
+        let tail = ring.prepare_truncate(1); // the cut saw LSN 1 pending
+        assert_eq!(tail, (0, 1));
+        ring.sync().unwrap(); // … and then it was group-committed
+        ring.commit_truncate(tail.1, 1);
+        assert_eq!(ring.stats().live_groups, 1, "still reachable from the tail");
+        let rec = reopen_above(&disk, &ring, tail, 1);
+        assert_eq!(rec.entries, vec![(1, entry(1, 1))], "filtered at replay");
+        assert_eq!(rec.last_lsn, 1);
+        // The next CP's tail moves past it.
+        let tail = ring.prepare_truncate(1);
+        ring.commit_truncate(tail.1, 1);
+        assert_eq!(ring.stats().live_groups, 0);
+    }
+
+    #[test]
+    fn recovered_ring_never_reuses_an_lsn() {
+        // Exact truncation routinely leaves the ring empty. A scan that
+        // finds nothing must still resume numbering above the frontier the
+        // manifest recorded, or new entries would be compared against
+        // frontiers from the old LSN space.
+        let disk = Arc::new(SimDisk::new(DeviceConfig::free_latency()));
+        let ring = ring_on(&disk, 4, 0);
+        for lsn in 1..=3u64 {
+            ring.append(entry(lsn, 1));
+        }
+        ring.sync().unwrap();
+        let tail = ring.prepare_truncate(3);
+        ring.commit_truncate(tail.1, 3);
+        let rec = reopen_above(&disk, &ring, tail, 3);
+        assert!(rec.entries.is_empty());
+        assert_eq!(rec.last_lsn, 3);
+        let st = rec.ring.stats();
+        assert_eq!(
+            (st.durable_lsn, st.appended_lsn, st.frontier_lsn),
+            (3, 3, 3)
+        );
+        assert_eq!(rec.ring.append(entry(4, 2)), (4, false));
+        assert_eq!(rec.ring.sync().unwrap(), 4);
+        // Surviving entries above the floor win over it.
+        let rec = reopen_above(&disk, &rec.ring, tail, 3);
+        assert_eq!(rec.entries, vec![(4, entry(4, 2))]);
+        assert_eq!(rec.last_lsn, 4);
+    }
+
+    #[test]
+    fn hostile_lsns_are_errors_or_end_of_log_never_overflow() {
+        let disk = Arc::new(SimDisk::new(DeviceConfig::free_latency()));
+        let ring = ring_on(&disk, 4, 0);
+        // A frontier within one ring capacity of u64::MAX.
+        for floor in [u64::MAX, lsn_ceiling(4) + 1] {
+            let dev: Arc<dyn Device> = disk.clone();
+            let err = JournalRing::recover(dev, FileId(1), 10, 4, 8, (0, 1), floor).unwrap_err();
+            assert!(matches!(err, BacklogError::Recovery { .. }), "{err}");
+        }
+        assert_eq!(
+            reopen_above(&disk, &ring, (0, 1), lsn_ceiling(4)).last_lsn,
+            lsn_ceiling(4)
+        );
+        // A checksummed group claiming LSNs that would overflow is not a
+        // group: the scan ends there.
+        let entries = [entry(1, 1), entry(2, 1)];
+        for first_lsn in [u64::MAX, u64::MAX - 1, lsn_ceiling(4)] {
+            disk.write_page(10, &encode_group(1, first_lsn, &entries))
+                .unwrap();
+            let rec = reopen(&disk, &ring, (0, 1));
+            assert!(rec.entries.is_empty(), "first_lsn {first_lsn}");
+            assert_eq!(rec.last_lsn, 0);
+        }
+        disk.write_page(10, &encode_group(1, lsn_ceiling(4) - 2, &entries))
+            .unwrap();
+        let rec = reopen(&disk, &ring, (0, 1));
+        assert_eq!(rec.last_lsn, lsn_ceiling(4) - 1);
     }
 
     #[test]
@@ -1174,7 +1312,7 @@ mod tests {
         // The retry rewrites the same offset and sequence.
         assert_eq!(ring.sync().unwrap(), 2);
         let rec = reopen(&disk, &ring, (0, 1));
-        assert_eq!(rec.entries, vec![entry(1, 1), entry(2, 1)]);
+        assert_eq!(bare(&rec), vec![entry(1, 1), entry(2, 1)]);
     }
 
     #[test]
@@ -1192,16 +1330,5 @@ mod tests {
         let rec = reopen(&disk, &ring, (0, 1));
         assert_eq!(rec.entries.len(), n);
         assert_eq!(rec.last_lsn, n as u64);
-    }
-
-    #[test]
-    fn replay_skips_entries_already_durable() {
-        let engine = BacklogEngine::new_simulated(BacklogConfig::default().without_timing());
-        let owner = Owner::block(1, 0, LineId::ROOT);
-        engine.add_reference(1, owner);
-        engine.consistency_point().unwrap();
-        // The entry belongs to the already-durable CP 1.
-        assert_eq!(replay(&engine, &[add(1, owner, 1)]).unwrap(), 0);
-        assert_eq!(engine.live_owners(1).unwrap().len(), 1);
     }
 }

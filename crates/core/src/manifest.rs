@@ -11,7 +11,10 @@
 //! * the deletion-vector contents of every partition;
 //! * the serialized [`LineageTable`] (lines, snapshots, clones, zombies and
 //!   the CP clock);
-//! * the engine's cumulative counters.
+//! * the engine's cumulative counters;
+//! * the *journal frontier*: per partition, the newest journal LSN whose
+//!   effect is in the runs this frame describes (see [`crate::journal`]) —
+//!   what reopen filters the recovered ring by.
 //!
 //! # On-device shape
 //!
@@ -43,8 +46,9 @@
 //! | payload length | 8     | bytes of payload that follow                     |
 //! | payload        | n     | see below; the rest of the last page is padding  |
 //!
-//! Both kinds of frame carry the same payload — the counters and the lineage
-//! table written whole (they are small), then, per table, one entry for each
+//! Both kinds of frame carry the same payload — the counters, the journal
+//! frontier (a count and one `u64` per partition) and the lineage table
+//! written whole (they are small), then, per table, one entry for each
 //! partition that *changed*: the file ids of runs removed, the runs added
 //! (position in the partition's run list, [`RunMeta`], [`PersistedFile`]),
 //! and the partition's deletion vector written whole if it changed. A base
@@ -72,7 +76,8 @@
 //! deltas in order. Every malformed input — a generation gap, a frame
 //! crossing the valid prefix, a remove of an unknown run, a duplicate file
 //! id, a partition index out of range, a count larger than the bytes that
-//! could hold it — is a [`BacklogError::Recovery`], never a panic.
+//! could hold it, a frontier vector that is not one entry per partition — is
+//! a [`BacklogError::Recovery`], never a panic.
 //!
 //! [`BacklogEngine::open`]: crate::BacklogEngine::open
 //! [`FileStore::restore`]: blockdev::FileStore::restore
@@ -93,9 +98,10 @@ use crate::record::{CombinedRecord, FromRecord, ToRecord};
 use crate::stats::BacklogStats;
 
 const MAGIC: &[u8; 8] = b"BKLGMANI";
-/// 3: a run file is leaves plus a flat fence section (`lsm::Run`); 2 had
-/// multi-level internal pages after the leaves, which nothing reads now.
-const VERSION: u32 = 3;
+/// 4: the payload carries the journal frontier, which replay trusts instead
+/// of looking entries up; a version 3 frame has none, and its device's ring
+/// was truncated by another rule. 3 introduced the flat fence section.
+const VERSION: u32 = 4;
 /// magic(8) + version(4) + checksum(8) + kind(4) + generation(8) +
 /// payload_len(8).
 const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;
@@ -136,6 +142,8 @@ pub(crate) struct ManifestTables {
 pub(crate) struct DecodedManifest {
     pub stats: BacklogStats,
     pub lineage: LineageTable,
+    /// Per partition, the newest journal LSN the newest frame's runs cover.
+    pub journal_frontier: Vec<u64>,
     pub tables: ManifestTables,
     /// The durable description of every run file, for [`FileStore::restore`],
     /// ascending by file id.
@@ -169,22 +177,26 @@ pub(crate) struct TableSnapshots {
 }
 
 /// The runs a CP's flush has built but not installed, per table, as
-/// `(partition, run)` ascending by partition. A frame lists them after the
-/// installed runs of their partition: it must describe the tables as they
-/// will be once the flip commits the flush.
+/// `(partition, run)` ascending by partition, and the journal frontier they
+/// cover (one LSN per partition; see [`crate::journal`]). A frame lists the
+/// runs after the installed runs of their partition: it must describe the
+/// tables as they will be once the flip commits the flush.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BuiltRuns<'a> {
     pub from: &'a [(u32, Run<FromRecord>)],
     pub to: &'a [(u32, Run<ToRecord>)],
     pub combined: &'a [(u32, Run<CombinedRecord>)],
+    pub frontier: &'a [u64],
 }
 
 impl BuiltRuns<'_> {
-    /// No flush: the engine's very first manifest.
+    /// No flush: the engine's very first manifest. The caller still supplies
+    /// the frontier (all zeros there) — a frame states one LSN per partition.
     pub(crate) const NONE: BuiltRuns<'static> = BuiltRuns {
         from: &[],
         to: &[],
         combined: &[],
+        frontier: &[],
     };
 }
 
@@ -373,6 +385,10 @@ pub(crate) fn encode_frame(
         stats.queries,
     ] {
         put_u64(&mut out, v);
+    }
+    put_u32(&mut out, built.frontier.len() as u32);
+    for &lsn in built.frontier {
+        put_u64(&mut out, lsn);
     }
     lineage.encode(&mut out);
     let view = LogView {
@@ -647,6 +663,7 @@ fn decode_frame(bytes: &[u8], start: usize) -> Result<Frame<'_>> {
 /// The database description being rebuilt while a log is decoded.
 struct Redo {
     stats: BacklogStats,
+    journal_frontier: Vec<u64>,
     lineage: LineageTable,
     tables: ManifestTables,
     files: BTreeMap<FileId, PersistedFile>,
@@ -672,6 +689,20 @@ fn decode_payload(payload: &[u8], mut at: usize, redo: &mut Redo) -> Result<()> 
         maintenance_ns: vals[8],
         queries: vals[9],
     };
+    // Each frame states the whole frontier, one entry per partition; a
+    // count that disagrees would leave replay filtering by a vector it
+    // cannot index.
+    let count = get_count(payload, &mut at, 8, "journal frontier entries")?;
+    if count != redo.tables.from.len() {
+        return Err(corrupt(format!(
+            "journal frontier of {count} entries for {} partitions",
+            redo.tables.from.len()
+        )));
+    }
+    redo.journal_frontier.clear();
+    for _ in 0..count {
+        redo.journal_frontier.push(get_u64(payload, &mut at)?);
+    }
     redo.lineage = LineageTable::decode(payload, &mut at)
         .ok_or_else(|| corrupt("lineage table failed to decode"))?;
     decode_table_section(payload, &mut at, &mut redo.tables.from, &mut redo.files)?;
@@ -723,6 +754,7 @@ pub(crate) fn decode_log(
     }
     let mut redo = Redo {
         stats: BacklogStats::default(),
+        journal_frontier: Vec::new(),
         lineage: LineageTable::new(),
         tables: ManifestTables {
             from: empty_parts(partitions),
@@ -764,6 +796,7 @@ pub(crate) fn decode_log(
     Ok(DecodedManifest {
         stats: redo.stats,
         lineage: redo.lineage,
+        journal_frontier: redo.journal_frontier,
         tables: redo.tables,
         files: redo.files.into_values().collect(),
         base_pages,
@@ -820,7 +853,12 @@ mod tests {
         combined: LsmTable<CombinedRecord>,
         lineage: LineageTable,
         stats: BacklogStats,
+        /// The journal frontier every frame of this fixture records.
+        frontier: [u64; 2],
     }
+
+    /// Bytes the frontier adds to a two-partition frame: count + entries.
+    const FRONTIER_LEN: usize = 4 + 2 * 8;
 
     fn partitioning() -> Partitioning {
         Partitioning::fixed_ranges(2, 1_000)
@@ -850,6 +888,7 @@ mod tests {
                 consistency_points: 2,
                 ..Default::default()
             },
+            frontier: [110, 97],
         }
     }
 
@@ -877,7 +916,10 @@ mod tests {
                 &self.stats,
                 &self.lineage,
                 &self.snaps(),
-                built,
+                BuiltRuns {
+                    frontier: &self.frontier,
+                    ..built
+                },
             )
         }
 
@@ -905,6 +947,7 @@ mod tests {
             files.sort_by_key(|f| f.id);
             assert_eq!(m.files, files);
             assert_eq!(m.stats, self.stats);
+            assert_eq!(m.journal_frontier, self.frontier);
             assert_eq!(m.lineage.current_cp(), self.lineage.current_cp());
         }
     }
@@ -996,7 +1039,10 @@ mod tests {
         let (idle, view) = fx.frame(Some(&view), 2, BuiltRuns::NONE);
         let mut lineage = Vec::new();
         fx.lineage.encode(&mut lineage);
-        assert_eq!(idle.len(), HEADER_LEN + 80 + lineage.len() + 3 * 4);
+        assert_eq!(
+            idle.len(),
+            HEADER_LEN + 80 + FRONTIER_LEN + lineage.len() + 3 * 4
+        );
         // A run installed by the previous CP's flush is not added twice,
         // and a fresh deletion mark rewrites just that partition's vector.
         fx.from.mark_deleted(FromRecord::new(identity(7), 1));
@@ -1107,7 +1153,8 @@ mod tests {
         let survivor = fx.from.partition_snapshot(1).runs()[0].file_id();
         let words = merged.meta().bloom_words.len();
         let extents = merged.persisted_file().extents.len();
-        let entries = d8 + HEADER_LEN + 80 + lineage.len();
+        let frontier_n = d8 + HEADER_LEN + 80;
+        let entries = frontier_n + FRONTIER_LEN + lineage.len();
         let pidx = entries + 4;
         let removed_n = pidx + 4;
         let removed_id = removed_n + 4;
@@ -1124,6 +1171,11 @@ mod tests {
             &merged.file_id().0.to_be_bytes()
         );
         assert_eq!(log[dv_flag], 1, "the layout walk landed on the flag");
+        assert_eq!(&log[frontier_n..frontier_n + 4], &2u32.to_be_bytes());
+        assert_eq!(
+            &log[frontier_n + 12..frontier_n + 20],
+            &fx.frontier[1].to_be_bytes()
+        );
 
         let u32_at = |at: usize, v: u32| (at, v.to_be_bytes().to_vec());
         let u64_at = |at: usize, v: u64| (at, v.to_be_bytes().to_vec());
@@ -1139,6 +1191,18 @@ mod tests {
             ("log opens with a delta", 0, u32_at(20, KIND_DELTA)),
             ("partition count", 0, u32_at(HEADER_LEN, u32::MAX)),
             ("partition width", 0, u64_at(HEADER_LEN + 4, 999)),
+            // The journal frontier: exactly one entry per partition, in the
+            // base and in every delta, and all of it inside the payload.
+            ("frontier short", d8, u32_at(frontier_n, 1)),
+            ("frontier long", d8, u32_at(frontier_n, 3)),
+            ("frontier count huge", d8, u32_at(frontier_n, u32::MAX)),
+            ("frontier empty", d8, u32_at(frontier_n, 0)),
+            ("base frontier short", 0, u32_at(HEADER_LEN + 12 + 80, 1)),
+            (
+                "frontier cut short by payload_len",
+                d8,
+                u64_at(d8 + 32, 80 + 4 + 8),
+            ),
             ("entry count", d8, u32_at(entries, u32::MAX)),
             ("partition index out of range", d8, u32_at(pidx, 2)),
             ("partition index huge", d8, u32_at(pidx, u32::MAX)),

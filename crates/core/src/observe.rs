@@ -325,6 +325,14 @@ pub fn journal_metrics(j: &JournalRingStats) -> MetricSet {
     set.counter("backlog_journal_durable_lsn", j.durable_lsn);
     set.counter("backlog_journal_appended_lsn", j.appended_lsn);
     set.gauge("backlog_journal_pending_entries", j.pending_entries as f64);
+    // Occupancy and replay exposure: the pages a reopen would scan, and the
+    // entries appended since the newest durable CP's frontier — at most
+    // what a crash right now would replay.
+    set.gauge("backlog_journal_ring_live_pages", j.live_pages as f64);
+    set.gauge(
+        "backlog_journal_frontier_lag",
+        j.appended_lsn.saturating_sub(j.frontier_lsn) as f64,
+    );
     set
 }
 
@@ -405,11 +413,13 @@ mod tests {
         let journal = JournalRingStats {
             ring_pages: 64,
             live_groups: 2,
+            live_pages: 3,
             next_seq: 5,
             head: 9,
             durable_lsn: 100,
             appended_lsn: 110,
             pending_entries: 4,
+            frontier_lsn: 90,
         };
         let set = obs.registry(&stats, &io, Some(&journal));
         assert_eq!(
@@ -423,6 +433,14 @@ mod tests {
         assert_eq!(
             set.get("backlog_journal_pending_entries"),
             Some(&MetricValue::Gauge(4.0))
+        );
+        assert_eq!(
+            set.get("backlog_journal_ring_live_pages"),
+            Some(&MetricValue::Gauge(3.0))
+        );
+        assert_eq!(
+            set.get("backlog_journal_frontier_lag"),
+            Some(&MetricValue::Gauge(20.0))
         );
         assert!(matches!(
             set.get("backlog_callback_ticks"),

@@ -237,10 +237,17 @@ impl<R: Record> PartitionSnapshot<R> {
     }
 }
 
-/// A consistency-point flush that has been built but not yet installed (see
-/// [`LsmTable::prepare_flush`]): every non-empty shard's records are staged
-/// — still query-visible in the write store — and their Level-0 runs are
-/// fully on the device, but no partition's run list has changed.
+/// A consistency-point flush on its way to the device, in three steps:
+/// [`LsmTable::begin_flush`] takes the table's flush lock,
+/// [`stage`](Self::stage) moves a shard's records into its staged set —
+/// still query-visible in the write store — and [`build`](Self::build)
+/// writes one Level-0 run per staged shard without changing any partition's
+/// run list. [`LsmTable::prepare_flush`] is all three over every shard.
+///
+/// Staging is its own step so that a caller can decide *what one flush
+/// covers* under locks of its own: the engine stages a partition's `From`
+/// and `To` shards inside one critical section, so no callback can land
+/// between the two and the flush covers an exact prefix of the journal.
 ///
 /// Exactly one of two things happens next:
 ///
@@ -262,6 +269,8 @@ pub struct PreparedFlush<'a, R: Record> {
     _flush: MutexGuard<'a, ()>,
     /// Partitions whose shards were staged (restored on abort).
     staged: Vec<u32>,
+    /// Staged record sets [`build`](Self::build) has yet to write.
+    work: Vec<(u32, Vec<R>)>,
     /// The built-but-uninstalled runs, ascending by partition.
     built: Vec<(u32, Run<R>)>,
     /// In-flight run-page writes still to be waited on (empty once
@@ -273,6 +282,94 @@ pub struct PreparedFlush<'a, R: Record> {
 }
 
 impl<R: Record> PreparedFlush<'_, R> {
+    /// Stages partition `pidx`'s records for this flush. `shard` is that
+    /// partition's write-store shard of this table, locked by the caller
+    /// ([`LsmTable::ws_shard`]) — who may hold other locks around the call
+    /// to make the staging atomic with something else. The records stay
+    /// query-visible in the shard until [`commit`](Self::commit).
+    pub fn stage(&mut self, pidx: u32, shard: &mut WriteShard<R>) {
+        let records = shard.stage();
+        if !records.is_empty() {
+            self.staged.push(pidx);
+            self.work.push((pidx, records));
+        }
+    }
+
+    /// Builds one Level-0 run per staged shard **without installing
+    /// anything**, fanning the independent partition builds across
+    /// `threads` scoped worker threads (clamped to `1..=staged shards`; with
+    /// one thread the loop runs inline, in staging order). Returns **without
+    /// waiting for the page writes to complete**: every page of every run
+    /// has been *submitted*, and [`take_pending_io`](Self::take_pending_io)
+    /// holds the completions.
+    ///
+    /// # Errors
+    ///
+    /// The first error raised *at submission*. Drop the handle to abort:
+    /// the runs that were built are deleted and every staged record returns
+    /// to its shard.
+    pub fn build(&mut self, threads: usize) -> Result<()> {
+        let work = std::mem::take(&mut self.work);
+        if work.is_empty() {
+            return Ok(());
+        }
+        let table = self.table;
+        let built: Mutex<Vec<(u32, Run<R>)>> = Mutex::new(Vec::new());
+        let pending: Mutex<Vec<Completion>> = Mutex::new(Vec::new());
+        let first_error: Mutex<Option<LsmError>> = Mutex::new(None);
+        let next = AtomicUsize::new(0);
+        let worker = || loop {
+            if first_error.lock().is_some() {
+                break;
+            }
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some((pidx, records)) = work.get(i) else {
+                break;
+            };
+            match Run::build_async(&table.files, records, &table.config.bloom) {
+                Ok(Some((run, io))) => {
+                    built.lock().push((*pidx, run));
+                    pending.lock().extend(io);
+                }
+                Ok(None) => {}
+                Err(e) => {
+                    first_error.lock().get_or_insert(e);
+                    break;
+                }
+            }
+        };
+        let threads = threads.clamp(1, work.len());
+        if threads == 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..threads {
+                    scope.spawn(worker);
+                }
+            });
+        }
+        // Whatever was built belongs to the handle, so that dropping it
+        // after an error deletes those runs too. (Returning drops the
+        // collected completions, which retires their device accounting
+        // without delivering results to anyone.)
+        self.built = built.into_inner();
+        self.built.sort_by_key(|entry| entry.0);
+        if let Some(e) = first_error.into_inner() {
+            return Err(e);
+        }
+        self.pending_io = pending.into_inner();
+        self.stats = FlushStats {
+            records_flushed: work.iter().map(|(_, recs)| recs.len() as u64).sum(),
+            runs_created: self.built.len() as u32,
+            pages_written: self
+                .built
+                .iter()
+                .map(|(_, run)| run.stats().total_pages)
+                .sum(),
+        };
+        Ok(())
+    }
+
     /// The flush totals (records staged, runs built, pages written) as
     /// [`commit`](Self::commit) will report them.
     pub fn stats(&self) -> FlushStats {
@@ -338,8 +435,8 @@ impl<R: Record> PreparedFlush<'_, R> {
     /// pages may still fail would break the all-or-nothing flush contract.
     pub fn commit(mut self) -> FlushStats {
         assert!(
-            self.pending_io.is_empty(),
-            "PreparedFlush::commit with in-flight writes still pending"
+            self.pending_io.is_empty() && self.work.is_empty(),
+            "PreparedFlush::commit with staged records unbuilt or writes still pending"
         );
         let built = std::mem::take(&mut self.built);
         let mut with_runs: Vec<u32> = Vec::with_capacity(built.len());
@@ -702,22 +799,33 @@ impl<R: Record> LsmTable<R> {
         Ok(prep.commit())
     }
 
-    /// Stages the write store and builds one Level-0 run per non-empty
-    /// partition **without installing anything**, fanning the independent
-    /// partition builds across `threads` scoped worker threads (clamped to
-    /// `1..=non-empty partitions`; with one thread the partition loop runs
-    /// inline on the calling thread, in ascending partition order). The
-    /// staged records stay query-visible in their shards, the partitions'
-    /// run lists are untouched, and the built runs are referenced only by
-    /// the returned handle.
-    ///
-    /// Returns **without waiting for the built runs' page writes to
-    /// complete**: every page of every run has been *submitted* to the
-    /// device (the returned handle's [`PreparedFlush::take_pending_io`] holds
-    /// the completions), so the device services the whole flush at full
-    /// queue depth while the caller does other work — stages the next
-    /// table's flush, encodes a manifest — before waiting once for
-    /// everything.
+    /// Takes the table's flush lock and returns a flush with nothing staged
+    /// yet; the caller [`stage`](PreparedFlush::stage)s shards and then
+    /// [`build`](PreparedFlush::build)s. Concurrent flushes block until the
+    /// handle is committed or dropped.
+    pub fn begin_flush(&self) -> PreparedFlush<'_, R> {
+        PreparedFlush {
+            table: self,
+            _flush: self.flush_lock.lock(),
+            staged: Vec::new(),
+            work: Vec::new(),
+            built: Vec::new(),
+            pending_io: Vec::new(),
+            stats: FlushStats::default(),
+            done: false,
+        }
+    }
+
+    /// Stages every shard of the write store and builds one Level-0 run per
+    /// non-empty partition **without installing anything**:
+    /// [`begin_flush`](Self::begin_flush), [`PreparedFlush::stage`] over the
+    /// shards in ascending order, [`PreparedFlush::build`] on `threads`
+    /// workers. The staged records stay query-visible in their shards, the
+    /// partitions' run lists are untouched, and the built runs are
+    /// referenced only by the returned handle, whose page writes are
+    /// submitted but not waited for — the device services the whole flush at
+    /// full queue depth while the caller stages the next table's flush or
+    /// encodes a manifest, before waiting once for everything.
     ///
     /// The caller either [`commit`](PreparedFlush::commit)s the prepared
     /// flush — installing every run and unstaging its records in one
@@ -731,9 +839,6 @@ impl<R: Record> LsmTable<R> {
     /// flush would strand the add in a run where the remove can no longer
     /// reach it, and the pair would later resurrect as a live reference).
     ///
-    /// The handle holds the table's flush lock, so concurrent flushes block
-    /// until it is committed or dropped.
-    ///
     /// # Errors
     ///
     /// The first error raised *at submission*; the table is left untouched
@@ -741,82 +846,12 @@ impl<R: Record> LsmTable<R> {
     /// completion surface from [`PreparedFlush::wait_io`] (or the caller's
     /// own wait); drop the handle to abort.
     pub fn prepare_flush(&self, threads: usize) -> Result<PreparedFlush<'_, R>> {
-        let flush = self.flush_lock.lock();
-        // Stage every shard up front; staged records stay query-visible in
-        // the shard until the prepared flush commits.
-        let mut work: Vec<(u32, Vec<R>)> = Vec::new();
+        let mut flush = self.begin_flush();
         for pidx in 0..self.ws.shard_count() {
-            let staged = self.ws.lock_shard(pidx).stage();
-            if !staged.is_empty() {
-                work.push((pidx, staged));
-            }
+            flush.stage(pidx, &mut self.ws.lock_shard(pidx));
         }
-        let staged: Vec<u32> = work.iter().map(|&(pidx, _)| pidx).collect();
-        let records_flushed: u64 = work.iter().map(|(_, recs)| recs.len() as u64).sum();
-        let built: Mutex<Vec<(u32, Run<R>)>> = Mutex::new(Vec::new());
-        let pending: Mutex<Vec<Completion>> = Mutex::new(Vec::new());
-        let first_error: Mutex<Option<LsmError>> = Mutex::new(None);
-        let next = AtomicUsize::new(0);
-        let worker = || loop {
-            if first_error.lock().is_some() {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some((pidx, records)) = work.get(i) else {
-                break;
-            };
-            match Run::build_async(&self.files, records, &self.config.bloom) {
-                Ok(Some((run, io))) => {
-                    built.lock().push((*pidx, run));
-                    pending.lock().extend(io);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    first_error.lock().get_or_insert(e);
-                    break;
-                }
-            }
-        };
-        if !work.is_empty() {
-            let threads = threads.clamp(1, work.len());
-            if threads == 1 {
-                worker();
-            } else {
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        scope.spawn(worker);
-                    }
-                });
-            }
-        }
-        if let Some(e) = first_error.lock().take() {
-            // Dropping the collected completions retires their device
-            // accounting without delivering results to anyone.
-            drop(pending.into_inner());
-            for (_, run) in built.into_inner() {
-                let _ = run.delete();
-            }
-            for &pidx in &staged {
-                self.ws.lock_shard(pidx).restore_flush();
-            }
-            return Err(e);
-        }
-        let mut built = built.into_inner();
-        built.sort_by_key(|entry| entry.0);
-        let stats = FlushStats {
-            records_flushed,
-            runs_created: built.len() as u32,
-            pages_written: built.iter().map(|(_, run)| run.stats().total_pages).sum(),
-        };
-        Ok(PreparedFlush {
-            table: self,
-            _flush: flush,
-            staged,
-            built,
-            pending_io: pending.into_inner(),
-            stats,
-            done: false,
-        })
+        flush.build(threads)?;
+        Ok(flush)
     }
 
     /// Returns every record (write store and runs) whose partition key falls
@@ -1491,6 +1526,48 @@ mod tests {
         t.flush_cp().unwrap();
         assert_eq!(t.run_count(), 1);
         assert_eq!(t.scan_all().unwrap().len(), 100);
+    }
+
+    #[test]
+    fn a_flush_covers_exactly_the_shards_its_caller_staged() {
+        // The engine's consistency point stages a partition under guards of
+        // its own choosing; whatever it did not stage stays buffered, and a
+        // record arriving after the staging is not part of the flush.
+        let disk = SimDisk::new_shared(DeviceConfig::free_latency());
+        let config =
+            TableConfig::named("parted").with_partitioning(Partitioning::fixed_ranges(2, 1_000));
+        let t = LsmTable::new(Arc::new(FileStore::new(disk)), config);
+        for key in [1u64, 2, 1_001] {
+            t.insert(TestRec::new(key, 0));
+        }
+        let mut flush = t.begin_flush();
+        {
+            let mut shard = t.ws_shard(0);
+            flush.stage(0, &mut shard);
+            assert!(!shard.insert(TestRec::new(1, 0)), "staged, still buffered");
+        }
+        t.insert(TestRec::new(3, 0)); // after the cut of partition 0
+        flush.build(1).unwrap();
+        flush.wait_io().unwrap();
+        assert_eq!(flush.built_runs().len(), 1);
+        let stats = flush.commit();
+        assert_eq!((stats.records_flushed, stats.runs_created), (2, 1));
+        assert_eq!(t.scan_disk().unwrap().len(), 2);
+        assert!(t.ws_contains(&TestRec::new(3, 0)), "arrived after the cut");
+        assert!(t.ws_contains(&TestRec::new(1_001, 0)), "never staged");
+        assert_eq!(t.scan_all().unwrap().len(), 4);
+    }
+
+    #[test]
+    fn dropping_a_staged_but_unbuilt_flush_restores_the_records() {
+        let (_d, t) = table();
+        t.insert(TestRec::new(7, 0));
+        let mut flush = t.begin_flush();
+        flush.stage(0, &mut t.ws_shard(0));
+        assert!(!t.ws_remove(&TestRec::new(7, 0)), "staged: not prunable");
+        drop(flush);
+        assert_eq!(t.files().file_count(), 0);
+        assert!(t.ws_remove(&TestRec::new(7, 0)), "active again");
     }
 
     #[test]

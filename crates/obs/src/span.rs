@@ -60,6 +60,16 @@ pub mod spans {
     pub const JOURNAL_APPEND: SpanId = SpanId(51);
     /// One engine callback — add/remove reference (mark; a = identity).
     pub const CALLBACK: SpanId = SpanId(52);
+
+    /// Recovery: the whole `open` — superblock, manifest log, file store,
+    /// tables, ring scan (begin/end).
+    pub const OPEN: SpanId = SpanId(60);
+    /// Recovery: the journal ring scan inside `open` (begin/end; a = tail
+    /// sequence, b = entries recovered).
+    pub const RING_SCAN: SpanId = SpanId(61);
+    /// Recovery: journal replay (begin/end; a = entries recovered, b =
+    /// entries applied).
+    pub const JOURNAL_REPLAY: SpanId = SpanId(62);
 }
 
 /// Human-readable name for a span id (`"?"` for unregistered ids).
@@ -86,6 +96,9 @@ pub fn span_name(s: SpanId) -> &'static str {
         50 => "lock.wait",
         51 => "journal.append",
         52 => "callback",
+        60 => "open",
+        61 => "open.ring_scan",
+        62 => "journal.replay",
         _ => "?",
     }
 }
@@ -118,6 +131,9 @@ mod tests {
             spans::LOCK_WAIT,
             spans::JOURNAL_APPEND,
             spans::CALLBACK,
+            spans::OPEN,
+            spans::RING_SCAN,
+            spans::JOURNAL_REPLAY,
         ] {
             assert_ne!(span_name(id), "?", "{id:?}");
         }

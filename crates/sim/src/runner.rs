@@ -2,7 +2,9 @@
 //! differential recovery oracle.
 
 use backlog::{verify, BacklogConfig, BacklogEngine, ExpectedRef, LineId, Owner, SnapshotId};
-use blockdev::{Device, DeviceConfig, FaultProfile, LatencyJitter, PowerCutProfile, SimDisk};
+use blockdev::{
+    Device, DeviceConfig, FaultProfile, LatencyJitter, PowerCutProfile, SimDisk, Superblock,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -72,6 +74,26 @@ enum Actor {
     DeleteSnapshot,
     Maintenance,
     JournalSync,
+}
+
+/// A CP that reported failure although its superblock flip reached the
+/// device: the flip is one sector, so a write the device fails *after*
+/// touching media lands whole. The engine treats such a CP as not taken —
+/// safe whichever superblock survives — and if the power goes before the
+/// next successful CP, recovery legitimately lands on it.
+#[derive(Debug)]
+struct LandedCp {
+    /// The superblock the device held right after the failed attempt.
+    superblock: Superblock,
+    /// Where in the script, and in the host's metadata log, the CP sits.
+    script_at: usize,
+    meta_at: usize,
+}
+
+/// The newest valid superblock on the device (cache included), retried
+/// through injected read faults.
+fn superblock_on_device(device: &SimDisk) -> Option<Superblock> {
+    (0..64).find_map(|_| Superblock::read_latest(device).ok().flatten())
 }
 
 /// Draws the next actor from the seeded scheduler, proportionally to the
@@ -157,6 +179,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     // Highest LSN covered by a durable CP (its flush persists every
     // callback issued before it, journal acks aside).
     let mut cp_acked_lsn = 0u64;
+    // The failed CP whose flip is on the device, if any (see `LandedCp`).
+    let mut landed_cp: Option<LandedCp> = None;
     let mut verdict = Verdict::Pass;
 
     macro_rules! check {
@@ -226,6 +250,19 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
                     script.push(ScriptOp::Cp);
                     cp_acked_lsn = lsn;
                     meta_log.clear(); // durable now
+                    landed_cp = None; // overwritten by this flip
+                } else if let Some(sb) = superblock_on_device(&device)
+                    .filter(|sb| sb.generation > live.superblock_generation())
+                {
+                    // An earlier failed attempt's flip, unless this one
+                    // replaced it.
+                    if landed_cp.as_ref().is_none_or(|l| l.superblock != sb) {
+                        landed_cp = Some(LandedCp {
+                            superblock: sb,
+                            script_at: script.len(),
+                            meta_at: meta_log.len(),
+                        });
+                    }
                 }
             }
             Actor::Snapshot => {
@@ -304,6 +341,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
                 script.push(ScriptOp::Cp);
                 cp_acked_lsn = lsn;
                 meta_log.clear();
+                landed_cp = None;
             } else {
                 crashed_cp_frame = live.manifest_log().last_attempt;
             }
@@ -340,6 +378,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     // deterministic tick clock, so its digest must replay byte-identically
     // for the same seed; its tail is the failing seed's timeline.
     let trace = live.obs().recorder().dump();
+    let generation_at_crash = live.superblock_generation();
     drop(live);
     let cut = device.power_cut(&PowerCutProfile {
         seed: cfg.seed ^ CUT_SALT,
@@ -355,6 +394,15 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     let mut recovered_lsn = 0u64;
     let recovered = match BacklogEngine::open(device.clone(), config.clone()) {
         Ok(recovered) => {
+            // Recovery landed on a CP the engine had reported as failed:
+            // that CP happened — its frame holds the lineage up to it, and
+            // the oracle's clock advances where it sits in the script.
+            if let Some(cp) =
+                landed_cp.filter(|_| recovered.superblock_generation() > generation_at_crash)
+            {
+                script.insert(cp.script_at, ScriptOp::Cp);
+                meta_log.drain(..cp.meta_at);
+            }
             for &op in &meta_log {
                 apply_meta(&recovered, op);
             }

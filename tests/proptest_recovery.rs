@@ -8,9 +8,15 @@
 //! from the on-device journal ring, group-committed before the crash and
 //! scanned back from raw device contents. The recovered engine must answer
 //! every query exactly like the engine that never crashed.
+//!
+//! A second property drops the "everything was acknowledged" assumption:
+//! group commits land wherever the script puts them, the power cut discards
+//! the device's write cache, and the recovered engine must equal the script
+//! rolled forward to exactly the LSN recovery reports — having applied
+//! exactly the recovered entries beyond the last durable CP's frontier.
 
 use backlog::{BacklogConfig, BacklogEngine, LineId, Owner, SnapshotId};
-use blockdev::{DeviceConfig, SimDisk};
+use blockdev::{DeviceConfig, PowerCutProfile, SimDisk};
 use proptest::prelude::*;
 
 /// One step of the random workload.
@@ -39,6 +45,7 @@ enum Step {
         snap: usize,
     },
     Maintenance,
+    JournalSync,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -52,6 +59,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         1 => (0usize..4).prop_map(|snap| Step::Clone { snap }),
         1 => (0usize..4).prop_map(|snap| Step::DeleteSnapshot { snap }),
         1 => Just(Step::Maintenance),
+        1 => Just(Step::JournalSync),
     ]
 }
 
@@ -149,6 +157,9 @@ proptest! {
                     live.maintenance().unwrap();
                     reference.maintenance().unwrap();
                 }
+                Step::JournalSync => {
+                    live.journal_sync().unwrap();
+                }
             }
         }
 
@@ -166,11 +177,10 @@ proptest! {
             Ok(_) => {
                 reference.consistency_point().unwrap();
                 let recovered = BacklogEngine::open(device, config).unwrap();
-                // Nothing to recover after a clean shutdown: the ring still
-                // holds the acked entries (truncation is one CP late), but
-                // every one is already covered by the completed CP.
+                // Nothing to recover after a clean shutdown: the completed
+                // CP covered every entry and truncated the ring behind it.
                 let rec = recovered.replay_recovered_journal().unwrap();
-                prop_assert_eq!(rec.applied, 0, "covered entries must not re-apply");
+                prop_assert_eq!((rec.recovered, rec.applied), (0, 0));
                 recovered
             }
             Err(_) => {
@@ -217,5 +227,156 @@ proptest! {
                 block
             );
         }
+    }
+
+    /// Random ops / CPs / group commits, then a power cut that loses the
+    /// write cache (optionally in the middle of a last CP). Recovery reports
+    /// `last_lsn`; the recovered engine must equal the script rolled forward
+    /// to exactly that LSN, and `applied` must be exactly the recovered
+    /// entries beyond the last durable CP's frontier — single-threaded, that
+    /// is every recovered entry, because truncation is exact too.
+    #[test]
+    fn recovery_rolls_forward_to_exactly_last_lsn(
+        steps in proptest::collection::vec(step_strategy(), 1..90),
+        partitions in 1u32..4,
+        group_size in 0usize..6,
+        // Device write at which a last CP dies; 40 and up: no last CP.
+        final_cp_fault in 0u64..60,
+    ) {
+        let config = BacklogConfig::partitioned(partitions, 40)
+            .without_timing()
+            .with_journaling()
+            .with_journal_group_size(group_size);
+        let device = SimDisk::new_shared(DeviceConfig::free_latency());
+        device.set_write_cache(true);
+        let live = BacklogEngine::create_durable(device.clone(), config.clone()).unwrap();
+
+        let mut lines = vec![LineId::ROOT];
+        let mut snapshots: Vec<SnapshotId> = Vec::new();
+        let mut meta_log: Vec<MetaOp> = Vec::new();
+        // The script as the oracle replays it: reference ops carry the LSN
+        // the journal gave them (callbacks count from 1).
+        enum Scripted {
+            Ref { lsn: u64, block: u64, owner: Owner, add: bool },
+            Meta(MetaOp),
+            Cp,
+            Maintenance,
+        }
+        let mut script: Vec<Scripted> = Vec::new();
+        let mut lsn = 0u64;
+        // What the last durable CP covered, and what was acknowledged.
+        let (mut cp_lsn, mut acked) = (0u64, 0u64);
+
+        for step in &steps {
+            match *step {
+                Step::Add { block, inode, offset, line } | Step::Remove { block, inode, offset, line } => {
+                    let owner = Owner::block(inode, offset, lines[line % lines.len()]);
+                    let add = matches!(step, Step::Add { .. });
+                    if add {
+                        live.add_reference(block, owner);
+                    } else {
+                        live.remove_reference(block, owner);
+                    }
+                    lsn += 1;
+                    script.push(Scripted::Ref { lsn, block, owner, add });
+                }
+                Step::ConsistencyPoint => {
+                    live.consistency_point().unwrap();
+                    script.push(Scripted::Cp);
+                    cp_lsn = lsn;
+                    meta_log.clear();
+                }
+                Step::Snapshot { line } => {
+                    let line = lines[line % lines.len()];
+                    snapshots.push(live.take_snapshot(line));
+                    meta_log.push(MetaOp::TakeSnapshot(line));
+                    script.push(Scripted::Meta(MetaOp::TakeSnapshot(line)));
+                }
+                Step::Clone { snap } => {
+                    if snapshots.is_empty() {
+                        continue;
+                    }
+                    let parent = snapshots[snap % snapshots.len()];
+                    let line = live.create_clone(parent);
+                    lines.push(line);
+                    meta_log.push(MetaOp::RegisterClone(parent, line));
+                    script.push(Scripted::Meta(MetaOp::RegisterClone(parent, line)));
+                }
+                Step::DeleteSnapshot { snap } => {
+                    if snapshots.is_empty() {
+                        continue;
+                    }
+                    let snap = snapshots[snap % snapshots.len()];
+                    live.delete_snapshot(snap);
+                    meta_log.push(MetaOp::DeleteSnapshot(snap));
+                    script.push(Scripted::Meta(MetaOp::DeleteSnapshot(snap)));
+                }
+                Step::Maintenance => {
+                    live.maintenance().unwrap();
+                    script.push(Scripted::Maintenance);
+                }
+                Step::JournalSync => {
+                    acked = acked.max(live.journal_sync().unwrap());
+                }
+            }
+        }
+        if final_cp_fault < 40 {
+            device.fail_writes_after(final_cp_fault);
+            if live.consistency_point().is_ok() {
+                script.push(Scripted::Cp);
+                cp_lsn = lsn;
+                meta_log.clear();
+            }
+            device.clear_write_fault();
+        }
+        acked = acked.max(cp_lsn).max(live.journal_durable_lsn());
+        drop(live);
+        device.power_cut(&PowerCutProfile::lose_all(lsn ^ 0x5eed));
+
+        let recovered = BacklogEngine::open(device, config.clone()).unwrap();
+        for &op in &meta_log {
+            apply_meta(&recovered, op);
+        }
+        let rec = recovered.replay_recovered_journal().unwrap();
+        prop_assert!(rec.last_lsn >= acked, "acknowledged LSN {} lost, recovered to {}", acked, rec.last_lsn);
+        prop_assert!(rec.last_lsn <= lsn);
+        prop_assert_eq!(rec.applied as u64, rec.last_lsn - cp_lsn, "applied = entries beyond the frontier");
+        prop_assert_eq!(rec.recovered, rec.applied, "nothing at or below the frontier is left in the ring");
+
+        let expected = BacklogEngine::new_simulated(config);
+        for op in &script {
+            match *op {
+                Scripted::Ref { lsn, block, owner, add } if lsn <= rec.last_lsn => {
+                    if add {
+                        expected.add_reference(block, owner);
+                    } else {
+                        expected.remove_reference(block, owner);
+                    }
+                }
+                Scripted::Ref { .. } => {}
+                Scripted::Meta(m) => apply_meta(&expected, m),
+                Scripted::Cp => {
+                    expected.consistency_point().unwrap();
+                }
+                Scripted::Maintenance => {
+                    expected.maintenance().unwrap();
+                }
+            }
+        }
+        prop_assert_eq!(recovered.current_cp(), expected.current_cp(), "CP clock diverged");
+        for block in 0..40u64 {
+            prop_assert_eq!(
+                recovered.live_owners(block).unwrap(),
+                expected.live_owners(block).unwrap(),
+                "block {} owners diverged after recovery to LSN {}",
+                block,
+                rec.last_lsn
+            );
+        }
+        let (sa, sb) = (recovered.stats(), expected.stats());
+        prop_assert_eq!(sa.refs_added, sb.refs_added, "refs_added diverged");
+        prop_assert_eq!(sa.refs_removed, sb.refs_removed, "refs_removed diverged");
+        // Numbering resumes right above what recovery reached.
+        prop_assert_eq!(recovered.journal_sync().unwrap(), rec.last_lsn);
     }
 }

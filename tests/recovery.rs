@@ -286,13 +286,10 @@ fn fault_walk_every_write_of_a_cp_recovers_to_previous_cp_plus_journal() {
         // and the recovered engine answers every query exactly like the
         // engine that never crashed.
         let rec = reopened.replay_recovered_journal().unwrap();
-        assert!(
-            rec.applied > 0,
-            "fault at write {fail_after}: the lost interval had operations"
-        );
-        assert!(
-            rec.recovered >= rec.applied,
-            "one-late truncation keeps at least the applied band"
+        assert_eq!(
+            (rec.recovered, rec.applied),
+            (250, 250),
+            "fault at write {fail_after}: the ring holds exactly the lost interval"
         );
         assert_engines_equivalent(
             &reopened,
@@ -382,11 +379,10 @@ fn maintenance_between_cps_never_invalidates_the_durable_cp() {
 
 #[test]
 fn journal_replay_is_idempotent_when_crash_hits_after_the_flip() {
-    // The ring's truncation tail rides the superblock flip, but truncation
-    // is one CP late by design: after a CP the ring still holds the flushed
-    // interval's entries. A crash right after the flip therefore recovers
-    // them all — and replay must skip every one, because their effects are
-    // already durable in the runs.
+    // The ring's truncation tail and the journal frontier ride the same
+    // superblock flip as the runs. A crash right after the flip of a
+    // quiescent CP therefore finds the ring empty: every entry is at or
+    // below the frontier, none is left to recover, none can be re-applied.
     let device = disk();
     let journaled = config().with_journaling();
     let engine = BacklogEngine::create_durable(device.clone(), journaled.clone()).unwrap();
@@ -395,17 +391,197 @@ fn journal_replay_is_idempotent_when_crash_hits_after_the_flip() {
     }
     engine.journal_sync().unwrap();
     engine.consistency_point().unwrap();
+    let ring = engine.journal_ring_stats().unwrap();
+    assert_eq!((ring.live_groups, ring.live_pages), (0, 0));
+    assert_eq!((ring.pending_entries, ring.frontier_lsn), (0, 100));
     let want = engine.dump_all().unwrap().refs;
     drop(engine); // crash immediately after the flip
-    let reopened = BacklogEngine::open(device, journaled).unwrap();
+    let reopened = BacklogEngine::open(device.clone(), journaled.clone()).unwrap();
     let rec = reopened.replay_recovered_journal().unwrap();
-    assert_eq!(rec.recovered, 100, "one-late truncation kept the interval");
-    assert_eq!(rec.applied, 0, "durable entries must not be re-applied");
-    assert_eq!(rec.last_lsn, 100);
+    assert_eq!(
+        (rec.recovered, rec.applied),
+        (0, 0),
+        "the CP covered it all"
+    );
+    assert_eq!(rec.last_lsn, 100, "the frontier, not an empty ring's zero");
     assert_eq!(reopened.dump_all().unwrap().refs, want);
     // The stash is consumed: a second replay call finds nothing.
     let again = reopened.replay_recovered_journal().unwrap();
     assert_eq!((again.recovered, again.applied), (0, 0));
+
+    // The variant where callbacks follow the CP: exactly those come back,
+    // under the LSNs they were acknowledged with.
+    for block in 100..140u64 {
+        reopened.add_reference(block, owner(2, block));
+    }
+    assert_eq!(reopened.journal_sync().unwrap(), 140);
+    let want = reopened.dump_all().unwrap().refs;
+    drop(reopened);
+    let reopened = BacklogEngine::open(device, journaled).unwrap();
+    let rec = reopened.replay_recovered_journal().unwrap();
+    assert_eq!((rec.recovered, rec.applied, rec.last_lsn), (40, 40, 140));
+    assert_eq!(reopened.dump_all().unwrap().refs, want);
+}
+
+/// Satellite (bug at the parent): replay went through the public callbacks,
+/// so every applied entry was journaled *again* under a new LSN — a crash
+/// loop doubled the tail each round until the ring filled. Replay now leaves
+/// the ring alone: any number of crash/reopen rounds with no CP between
+/// recover, apply and leave behind exactly the same thing.
+#[test]
+fn repeated_crash_before_any_cp_replays_exactly_once() {
+    let device = disk();
+    let journaled = config().with_journaling();
+    let engine = BacklogEngine::create_durable(device.clone(), journaled.clone()).unwrap();
+    for block in 0..100u64 {
+        engine.add_reference(block, owner(1, block));
+    }
+    engine.consistency_point().unwrap();
+    for block in 100..140u64 {
+        engine.add_reference(block, owner(2, block));
+    }
+    assert_eq!(engine.journal_sync().unwrap(), 140);
+    let want_dump = engine.dump_all().unwrap().refs;
+    let want_stats = engine.stats();
+    drop(engine);
+
+    let mut rounds = Vec::new();
+    for _ in 0..3 {
+        let reopened = BacklogEngine::open(device.clone(), journaled.clone()).unwrap();
+        let rec = reopened.replay_recovered_journal().unwrap();
+        rounds.push((
+            rec,
+            reopened.stats(),
+            reopened.dump_all().unwrap().refs,
+            reopened.journal_ring_stats().unwrap(),
+        ));
+        // Crash again: no CP, nothing synced — nothing was appended.
+    }
+    let (rec, stats, dump, ring) = &rounds[0];
+    assert_eq!((rec.recovered, rec.applied, rec.last_lsn), (40, 40, 140));
+    assert_eq!(dump, &want_dump);
+    assert_eq!(
+        (stats.refs_added, stats.refs_removed, stats.block_ops),
+        (
+            want_stats.refs_added,
+            want_stats.refs_removed,
+            want_stats.block_ops
+        ),
+        "140 callbacks happened, 140 are counted"
+    );
+    assert_eq!((ring.live_groups, ring.appended_lsn), (1, 140));
+    assert_eq!(ring.pending_entries, 0, "replay journals nothing");
+    // `queries` counts the dumps this test itself issues; everything else
+    // must repeat exactly.
+    for (round, later) in rounds.iter().enumerate().skip(1) {
+        assert_eq!(later, &rounds[0], "round {round} differs from round 0");
+    }
+}
+
+/// Satellite (bug at the parent): a ring scan that found no group restarted
+/// the LSN space at 1. With exact truncation an empty ring is the common
+/// case, so the recovered ring resumes above the manifest's frontier:
+/// `journal_sync` never returns less than an LSN acknowledged before the
+/// crash — with the ring empty, partly truncated, or wrapped.
+#[test]
+fn acknowledged_lsns_never_regress_across_reopen() {
+    let journaled = config()
+        .with_journaling()
+        .with_journal_group_size(0)
+        .with_journal_ring_pages(4);
+    let device = disk();
+    let mut engine = BacklogEngine::create_durable(device.clone(), journaled.clone()).unwrap();
+    // One ring page of callbacks, acknowledged by a group commit; returns
+    // the acknowledged LSN, which counts callbacks since creation.
+    let mut next_block = 0u64;
+    let mut ack_30 = |engine: &BacklogEngine| {
+        for _ in 0..30 {
+            engine.add_reference(next_block, owner(1, next_block));
+            next_block += 1;
+        }
+        let acked = engine.journal_sync().unwrap();
+        assert_eq!(acked, next_block, "LSNs count callbacks since creation");
+        acked
+    };
+    let crash_and_reopen = |engine: BacklogEngine, recovered: usize, what: &str| {
+        drop(engine);
+        device.power_cut(&PowerCutProfile::lose_all(recovered as u64));
+        let engine = BacklogEngine::open(device.clone(), journaled.clone()).unwrap();
+        let rec = engine.replay_recovered_journal().unwrap();
+        assert_eq!(
+            (rec.recovered, rec.applied),
+            (recovered, recovered),
+            "{what}"
+        );
+        engine
+    };
+
+    // Empty ring: two quiescent CPs, nothing left to scan.
+    ack_30(&engine);
+    engine.consistency_point().unwrap();
+    let acked = ack_30(&engine);
+    engine.consistency_point().unwrap();
+    assert_eq!(engine.journal_ring_stats().unwrap().live_groups, 0);
+    engine = crash_and_reopen(engine, 0, "empty ring");
+    let ring = engine.journal_ring_stats().unwrap();
+    assert_eq!((ring.durable_lsn, ring.appended_lsn), (acked, acked));
+    assert_eq!(engine.journal_sync().unwrap(), acked, "empty ring");
+
+    // Partly truncated ring: a tail that is neither the start nor the head.
+    let acked = ack_30(&engine);
+    engine = crash_and_reopen(engine, 30, "partly truncated ring");
+    assert_eq!(
+        engine.journal_sync().unwrap(),
+        acked,
+        "partly truncated ring"
+    );
+
+    // Wrapped ring: CPs walk the (empty) ring's head to its last page, and
+    // the next two groups straddle the ring end.
+    engine.consistency_point().unwrap();
+    ack_30(&engine);
+    ack_30(&engine);
+    engine.consistency_point().unwrap();
+    assert_eq!(engine.journal_ring_stats().unwrap().head, 3);
+    ack_30(&engine);
+    let acked = ack_30(&engine);
+    let ring = engine.journal_ring_stats().unwrap();
+    assert_eq!((ring.live_groups, ring.head), (2, 1), "wrapped");
+    engine = crash_and_reopen(engine, 60, "wrapped ring");
+    assert_eq!(engine.journal_sync().unwrap(), acked, "wrapped ring");
+    // New callbacks carry on above everything ever acknowledged.
+    assert_eq!(ack_30(&engine), 240);
+}
+
+/// A host that reopens and goes straight to a consistency point — without
+/// calling `replay_recovered_journal` — must not lose the recovered tail:
+/// that CP's cut would truncate entries its flush does not contain. The CP
+/// replays first.
+#[test]
+fn a_cp_before_replay_replays_first() {
+    let device = disk();
+    let journaled = config().with_journaling();
+    let engine = BacklogEngine::create_durable(device.clone(), journaled.clone()).unwrap();
+    let reference = BacklogEngine::new_simulated(journaled.clone());
+    for e in [&engine, &reference] {
+        for block in 0..50u64 {
+            e.add_reference(block, owner(1, block));
+        }
+    }
+    engine.journal_sync().unwrap();
+    drop(engine);
+    let reopened = BacklogEngine::open(device.clone(), journaled.clone()).unwrap();
+    reopened.consistency_point().unwrap();
+    reference.consistency_point().unwrap();
+    assert_eq!(
+        reopened.replay_recovered_journal().unwrap(),
+        backlog::JournalRecovery::default(),
+        "the CP consumed the stash"
+    );
+    drop(reopened);
+    let again = BacklogEngine::open(device, journaled).unwrap();
+    assert_eq!(again.replay_recovered_journal().unwrap().recovered, 0);
+    assert_engines_equivalent(&again, &reference, 60, "after CP-before-replay");
 }
 
 /// Satellite: reads can fail mid-`open` too (latent sector errors, a dying
@@ -550,7 +726,7 @@ fn torn_superblock_flip_recovers_previous_generation() {
 /// durable (its sync barrier flushed it) while the *younger* group's write
 /// is torn mid-page by the power cut. Recovery must take the durable CP,
 /// replay the surviving acked group, reject the torn group by checksum, and
-/// skip every entry the CP already covers — all from the raw device.
+/// re-apply nothing the CP already covers — all from the raw device.
 #[test]
 fn torn_journal_tail_replays_idempotently_over_durable_cp_pages() {
     // Manual group commit so the test controls exactly which entries share a
@@ -568,9 +744,9 @@ fn torn_journal_tail_replays_idempotently_over_durable_cp_pages() {
     }
     engine.consistency_point().unwrap();
     reference.consistency_point().unwrap();
-    // Interval B: journaled only, then acked by a group commit. Truncation is
-    // one CP late, so A's 120 entries ride along in the same group; at 150
-    // entries the group spans two ring pages.
+    // Interval B: journaled only, then acked by a group commit. A's 120
+    // entries were still pending at the CP, which covered and dropped them:
+    // the group holds exactly B, under LSNs 121..=150.
     let interval_b: Vec<u64> = (200..230u64).collect();
     for &block in &interval_b {
         engine.add_reference(block, owner(7, block));
@@ -601,7 +777,11 @@ fn torn_journal_tail_replays_idempotently_over_durable_cp_pages() {
     let recovered = BacklogEngine::open(device.clone(), journaled.clone()).unwrap();
     let rec = recovered.replay_recovered_journal().unwrap();
     assert_eq!(rec.last_lsn, 150, "scan stops at the torn group");
-    assert_eq!(rec.applied, interval_b.len(), "exactly B replays");
+    assert_eq!(
+        (rec.recovered, rec.applied),
+        (interval_b.len(), interval_b.len()),
+        "exactly B is in the ring, exactly B replays"
+    );
     for &block in &interval_b {
         reference.add_reference(block, owner(7, block));
     }
@@ -615,7 +795,12 @@ fn torn_journal_tail_replays_idempotently_over_durable_cp_pages() {
     drop(recovered);
     let reopened = BacklogEngine::open(device, journaled).unwrap();
     let again = reopened.replay_recovered_journal().unwrap();
-    assert_eq!(again.applied, 0, "covered entries must not re-apply");
+    assert_eq!(
+        (again.recovered, again.applied),
+        (0, 0),
+        "covered entries are truncated, the torn group is still no group"
+    );
+    assert_eq!(again.last_lsn, 150, "the frontier outlives the empty ring");
     assert_engines_equivalent(&reopened, &reference, 400, "after double replay");
 }
 
@@ -725,9 +910,9 @@ fn fault_walk_every_journal_ring_write_preserves_the_acked_prefix() {
 }
 
 /// Tentpole: the ring is a *ring* — a tiny 4-page ring survives many
-/// CP cycles (the head wraps repeatedly, truncation frees the tail one CP
-/// late), recovers cleanly mid-stream, exerts backpressure when truncation
-/// cannot keep up, and drains after the CPs that make its groups redundant.
+/// CP cycles (the head wraps repeatedly, each CP frees everything its cut
+/// covered), recovers cleanly mid-stream, exerts backpressure when no CP
+/// truncates it, and drains at the CP that makes its groups redundant.
 #[test]
 fn journal_ring_wraps_across_many_cps_and_reopens() {
     let journaled = config()
@@ -739,7 +924,7 @@ fn journal_ring_wraps_across_many_cps_and_reopens() {
     let reference = BacklogEngine::new_simulated(journaled.clone());
 
     // Far more journaled bytes than the ring holds: 12 one-page groups
-    // through a 4-page ring, each made redundant (one CP late) by the CPs.
+    // through a 4-page ring, each made redundant by the CP that follows it.
     for round in 0..12u64 {
         for i in 0..30u64 {
             let block = round * 30 + i;
@@ -753,7 +938,11 @@ fn journal_ring_wraps_across_many_cps_and_reopens() {
     drop(engine);
     let engine = BacklogEngine::open(device, journaled).unwrap();
     let rec = engine.replay_recovered_journal().unwrap();
-    assert_eq!(rec.applied, 0, "every surviving group is covered by a CP");
+    assert_eq!(
+        (rec.recovered, rec.applied, rec.last_lsn),
+        (0, 0, 360),
+        "every group was covered by a CP and truncated by it"
+    );
     assert_engines_equivalent(&engine, &reference, 400, "after wrapped-ring reopen");
 
     // Backpressure: without CPs, truncation never advances and the ring
@@ -778,14 +967,14 @@ fn journal_ring_wraps_across_many_cps_and_reopens() {
         filled.is_some(),
         "a 4-page ring must fill without truncation"
     );
-    // Two CPs drain it: truncation is one CP late, so the first keeps the
-    // current interval's groups and the second frees them (and prunes the
-    // now-durable pending entries).
-    for _ in 0..2 {
-        engine.consistency_point().unwrap();
-        reference.consistency_point().unwrap();
-    }
-    engine.journal_sync().unwrap();
+    assert_eq!(filled, Some(4), "four one-page groups fill four pages");
+    // One CP drains it: its cut covers every group and the pending entries
+    // the full ring refused, so none of them needs ring space any more.
+    engine.consistency_point().unwrap();
+    reference.consistency_point().unwrap();
+    let ring = engine.journal_ring_stats().unwrap();
+    assert_eq!((ring.live_groups, ring.pending_entries), (0, 0));
+    assert_eq!(engine.journal_sync().unwrap(), ring.appended_lsn);
     assert_engines_equivalent(&engine, &reference, 1_000, "after ring backpressure drains");
 }
 
@@ -1309,6 +1498,96 @@ fn forged_superblock_geometry_is_rejected_not_trusted() {
             .unwrap();
         BacklogEngine::open(device.clone(), config().with_journaling()).unwrap();
     }
+}
+
+/// Satellite (decode surface): the journal frontier in the manifest frame
+/// is what replay trusts, and it came off the device. A structure-aware
+/// forger (the frame checksum is FNV-1a, not a MAC) must get `Recovery` for
+/// a vector that is not one entry per partition, is cut short by the
+/// payload length, or names an LSN with no room above it — and a frontier
+/// merely *ahead of* everything in the ring is legal: the ring was truncated
+/// past it, replay applies nothing, and numbering resumes above it. The same
+/// walk pins the version gate: a frame of the previous format is refused,
+/// not misread.
+#[test]
+fn forged_journal_frontier_is_rejected_or_harmless() {
+    let journaled = config().with_journaling();
+    let device = disk();
+    let engine = BacklogEngine::create_durable(device.clone(), journaled.clone()).unwrap();
+    for block in 0..50u64 {
+        engine.add_reference(block * 80, owner(1, block));
+    }
+    assert_eq!(engine.journal_sync().unwrap(), 50);
+    drop(engine);
+
+    // No CP since creation: the log is its base frame, at the start of the
+    // extent. Header 40 B (magic 8, version 4, checksum 8 over everything
+    // from byte 20 on, kind 4, generation 8, payload length 8), then the
+    // partitioning (12 B), ten counters, the frontier count and entries.
+    let sb = Superblock::read_latest(&*device).unwrap().unwrap();
+    let log_page = sb.manifest_extents[0].0;
+    assert!(sb.manifest_len_bytes <= 4_096, "one-page base frame");
+    let good = device.read_page(log_page).unwrap();
+    let (version_at, len_at, count_at) = (8, 32, 40 + 12 + 80);
+    assert_eq!(&good[version_at..version_at + 4], &4u32.to_be_bytes());
+    assert_eq!(&good[count_at..count_at + 4], &4u32.to_be_bytes());
+    assert_eq!(
+        &good[count_at + 4..count_at + 36],
+        &[0u8; 32],
+        "fresh engine"
+    );
+    let forge = |patches: &[(usize, &[u8])]| {
+        let mut page = good.clone();
+        for &(at, bytes) in patches {
+            page[at..at + bytes.len()].copy_from_slice(bytes);
+        }
+        let payload_len = u64::from_be_bytes(page[len_at..len_at + 8].try_into().unwrap());
+        let end = 40 + payload_len as usize;
+        let checksum = blockdev::fnv1a64(&page[20..end]);
+        page[12..20].copy_from_slice(&checksum.to_be_bytes());
+        device.write_page(log_page, &page).unwrap();
+        BacklogEngine::open(device.clone(), journaled.clone())
+    };
+
+    let huge = u64::MAX.to_be_bytes();
+    let cut_short = (80u64 + 12 + 4 + 8).to_be_bytes();
+    type Patches<'a> = Vec<(usize, &'a [u8])>;
+    let rejected: [(&str, Patches); 6] = [
+        ("three entries", vec![(count_at, &[0, 0, 0, 3])]),
+        ("five entries", vec![(count_at, &[0, 0, 0, 5])]),
+        ("count u32::MAX", vec![(count_at, &[0xff; 4])]),
+        ("cut short by payload_len", vec![(len_at, &cut_short)]),
+        ("frontier u64::MAX", vec![(count_at + 4 + 8, &huge)]),
+        ("previous format version", vec![(version_at, &[0, 0, 0, 3])]),
+    ];
+    for (what, patches) in &rejected {
+        let err = forge(patches).unwrap_err();
+        assert!(
+            matches!(err, BacklogError::Recovery { .. }),
+            "{what}: {err}"
+        );
+    }
+
+    // Ahead of every recovered LSN, in one partition: that partition's
+    // entries are taken as covered, the others replay as usual.
+    let ahead = (1u64 << 40).to_be_bytes();
+    let reopened = forge(&[(count_at + 4, &ahead)]).unwrap();
+    let rec = reopened.replay_recovered_journal().unwrap();
+    let in_partition_0 = (0..50u64).filter(|b| b * 80 < 1_000).count();
+    assert_eq!(rec.recovered, 50);
+    assert_eq!(rec.applied, 50 - in_partition_0);
+    assert_eq!(rec.last_lsn, 1 << 40);
+    assert_eq!(
+        reopened.journal_sync().unwrap(),
+        1 << 40,
+        "resumes above it"
+    );
+    drop(reopened);
+
+    // And the genuine frame still opens and replays everything.
+    let reopened = forge(&[]).unwrap();
+    let rec = reopened.replay_recovered_journal().unwrap();
+    assert_eq!((rec.recovered, rec.applied, rec.last_lsn), (50, 50, 50));
 }
 
 /// Acceptance: a delta CP's metadata work and write volume follow what
