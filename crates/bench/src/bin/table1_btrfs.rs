@@ -17,7 +17,6 @@
 //! group to show why the log-structured design is needed.
 
 use backlog::BacklogConfig;
-use backlog_bench::{overhead_pct, print_table, scaled};
 use baseline::{BtrfsLikeBackrefs, NaiveBackrefs, NoBackrefs};
 use fsim::{BacklogProvider, BackrefProvider, FileSystem, FsConfig};
 use workloads::{run_app, run_create, run_delete, AppConfig, AppProfile, MicrobenchSpec};
@@ -66,8 +65,8 @@ fn apps<P: BackrefProvider>(make: impl Fn() -> P, transactions: u64) -> [f64; 3]
 }
 
 fn main() {
-    let files = scaled(8_192, 1_024);
-    let transactions = scaled(4_000, 500);
+    let files = 8_192;
+    let transactions = 4_000;
     println!(
         "Table 1 reproduction: {files} files per microbenchmark, {transactions} app transactions"
     );
@@ -171,4 +170,43 @@ fn row(name: &str, base: f64, original: f64, backlog: f64, naive: f64) -> Vec<St
         format!("{naive:.4} ms"),
         overhead_pct(base, backlog),
     ]
+}
+
+/// Formats a relative overhead (`candidate` vs `base`) as a percentage
+/// string, e.g. `"+7.9%"`.
+fn overhead_pct(base: f64, candidate: f64) -> String {
+    if base <= 0.0 {
+        return "n/a".to_owned();
+    }
+    format!("{:+.1}%", (candidate / base - 1.0) * 100.0)
+}
+
+/// Prints a table with a header row and aligned columns.
+fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+    println!();
+    println!("== {title} ==");
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    for row in rows {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    println!("{}", padded(headers, &widths));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+    );
+    for row in rows {
+        println!("{}", padded(row, &widths));
+    }
+}
+
+/// Left-aligns each cell to its column width, two spaces between columns.
+fn padded<S: AsRef<str>>(cells: &[S], widths: &[usize]) -> String {
+    cells
+        .iter()
+        .zip(widths)
+        .map(|(c, w)| format!("{:<w$}", c.as_ref()))
+        .collect::<Vec<_>>()
+        .join("  ")
 }

@@ -188,11 +188,11 @@ impl PowerCutReport {
     }
 }
 
-/// The interface shared by raw and cached devices.
+/// The interface higher layers drive a device through.
 ///
 /// `Device` is object-safe; higher layers hold `Arc<dyn Device>` so that the
-/// LSM store can run against either a raw [`SimDisk`] or a
-/// [`PageCache`](crate::PageCache)-wrapped one.
+/// LSM store can run against a [`SimDisk`] or any wrapper around one (e.g. a
+/// tracing decorator).
 pub trait Device: Send + Sync + std::fmt::Debug {
     /// Reads page `page` into a freshly allocated buffer of [`PAGE_SIZE`] bytes.
     ///

@@ -8,8 +8,6 @@
 //! * [`SimDisk`] — a page-addressable in-memory device that stores real page
 //!   contents, counts every read and write, and charges a configurable
 //!   [`LatencyModel`] (seek + rotation + transfer) to a simulated clock.
-//! * [`PageCache`] — an LRU read cache layered on a device, mirroring the
-//!   32 MB cache used in the paper's micro-benchmarks.
 //! * [`FileStore`] / [`VFile`] — a minimal extent-allocating file layer used
 //!   by the LSM read-store runs; files are written append-only and read
 //!   randomly, exactly the access pattern of Stepped-Merge run files.
@@ -25,13 +23,13 @@
 //!
 //! Everything here is deterministic: no wall-clock time, no OS file system,
 //! no background threads. Two runs of the same workload produce identical
-//! counter values, which is what the experiment harness in `backlog-bench`
-//! relies on. (Concurrency benchmarks may opt into
+//! counter values, so I/O counts repeat exactly for a seed. (Concurrency
+//! benchmarks may opt into
 //! [`SimDisk::set_latency_emulation`], which additionally parks the calling
 //! thread for each access's modeled latency so wall-clock overlap between
 //! threads becomes measurable; counters stay deterministic either way.)
 //!
-//! Every type here is `Send + Sync`: devices, caches and the file store are
+//! Every type here is `Send + Sync`: devices and the file store are
 //! internally synchronized so LSM tables can be read and rebuilt from
 //! multiple threads at once.
 //!
@@ -51,7 +49,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-mod cache;
 mod completion;
 mod device;
 mod error;
@@ -61,7 +58,6 @@ pub mod stats;
 mod superblock;
 mod vfile;
 
-pub use cache::PageCache;
 pub use completion::{Completer, Completion};
 pub use device::{
     Device, DeviceConfig, FaultProfile, LatencyJitter, PowerCutProfile, PowerCutReport, SimDisk,
@@ -88,7 +84,6 @@ pub type PageNo = u64;
 fn _assert_send_sync() {
     fn assert<T: Send + Sync>() {}
     assert::<SimDisk>();
-    assert::<PageCache>();
     assert::<FileStore>();
     assert::<FileMap>();
     assert::<IoStats>();

@@ -51,10 +51,6 @@ pub struct IoStats {
     /// Operations that completed while at least one other operation was in
     /// flight — i.e. the I/O that actually overlapped.
     completed_async_ops: AtomicU64,
-    /// Device round-trips avoided by batched cache reads
-    /// ([`PageCache::read_pages`](crate::PageCache::read_pages)): a batch of
-    /// `n` misses submitted in one round saves `n - 1` serial trips.
-    batched_reads_saved: AtomicU64,
     /// Distribution of per-operation modeled service times (every sample
     /// also lands in the `device_ns` sum).
     service_ns_hist: Histogram,
@@ -152,11 +148,6 @@ impl IoStats {
         self.completed_async_ops.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `trips` device round-trips saved by batching reads.
-    pub fn record_batched_saved(&self, trips: u64) {
-        self.batched_reads_saved.fetch_add(trips, Ordering::Relaxed);
-    }
-
     /// Returns a point-in-time copy of all counters.
     pub fn snapshot(&self) -> IoStatsSnapshot {
         IoStatsSnapshot {
@@ -170,7 +161,6 @@ impl IoStats {
             lock_contentions: self.lock_contentions.load(Ordering::Relaxed),
             max_in_flight: self.max_in_flight.load(Ordering::Relaxed),
             completed_async_ops: self.completed_async_ops.load(Ordering::Relaxed),
-            batched_reads_saved: self.batched_reads_saved.load(Ordering::Relaxed),
         }
     }
 
@@ -189,7 +179,6 @@ impl IoStats {
         self.lock_contentions.store(0, Ordering::Relaxed);
         self.max_in_flight.store(0, Ordering::Relaxed);
         self.completed_async_ops.store(0, Ordering::Relaxed);
-        self.batched_reads_saved.store(0, Ordering::Relaxed);
         self.service_ns_hist.clear();
         self.lock_wait_ns_hist.clear();
     }
@@ -221,8 +210,6 @@ pub struct IoStatsSnapshot {
     pub max_in_flight: u64,
     /// Operations that completed while other operations were in flight.
     pub completed_async_ops: u64,
-    /// Device round-trips avoided by batched cache reads.
-    pub batched_reads_saved: u64,
 }
 
 impl IoStatsSnapshot {
@@ -248,9 +235,6 @@ impl IoStatsSnapshot {
             completed_async_ops: self
                 .completed_async_ops
                 .saturating_sub(earlier.completed_async_ops),
-            batched_reads_saved: self
-                .batched_reads_saved
-                .saturating_sub(earlier.batched_reads_saved),
         }
     }
 
@@ -331,11 +315,9 @@ mod tests {
         stats.record_in_flight(2);
         stats.record_async_complete();
         stats.record_async_complete();
-        stats.record_batched_saved(4);
         let s = stats.snapshot();
         assert_eq!(s.max_in_flight, 7, "high-water mark keeps the peak");
         assert_eq!(s.completed_async_ops, 2);
-        assert_eq!(s.batched_reads_saved, 4);
         let later = stats.snapshot();
         assert_eq!(later.delta_since(&s).max_in_flight, 7);
         assert_eq!(later.delta_since(&s).completed_async_ops, 0);

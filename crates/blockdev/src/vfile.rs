@@ -158,44 +158,22 @@ impl FileStore {
         VFile { store: self, id }
     }
 
-    /// Creates a new file whose first `pages` appends are guaranteed to land
-    /// in **one contiguous extent**: an exactly-fitting-or-larger free
-    /// extent if one exists, otherwise fresh pages from the bump pointer —
-    /// never stitched together from free-list fragments. Appends beyond the
-    /// reservation fall back to normal allocation.
-    ///
-    /// The manifest log is reserved through this (via
-    /// [`reserve_extent`](Self::reserve_extent)): its extent list must fit in
+    /// Sets aside `pages` device pages in **one contiguous extent** for a
+    /// caller that writes them itself, by offset, through the returned
+    /// [`ReservedExtent`] — the journal ring and the manifest log. The
+    /// extent is an exactly-fitting-or-larger free extent if one exists,
+    /// otherwise fresh pages from the bump pointer — never stitched together
+    /// from free-list fragments: the manifest log's extent list must fit in
     /// the superblock page, and a single extent always does, no matter how
-    /// fragmented the free list has become.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeviceError::OutOfSpace`] if the device cannot provide
-    /// `pages` contiguous fresh pages (and no free extent is big enough).
-    pub fn create_reserved(&self, pages: u64) -> Result<VFile<'_>> {
-        let (id, _) = self.reserve(pages)?;
-        Ok(VFile { store: self, id })
-    }
-
-    /// Sets aside `pages` contiguous device pages (one extent, as
-    /// [`create_reserved`](Self::create_reserved)) for a caller that writes
-    /// them itself, by offset, through the returned [`ReservedExtent`] — the
-    /// journal ring and the manifest log. The registered file is never
+    /// fragmented the free list has become. The registered file is never
     /// appended to; it only keeps the pages out of the allocator until
     /// [`delete`](Self::delete) returns them.
     ///
     /// # Errors
     ///
-    /// As for [`create_reserved`](Self::create_reserved).
+    /// Returns [`DeviceError::OutOfSpace`] if the device cannot provide
+    /// `pages` contiguous fresh pages (and no free extent is big enough).
     pub fn reserve_extent(&self, pages: u64) -> Result<ReservedExtent> {
-        let (file, start) = self.reserve(pages)?;
-        Ok(ReservedExtent { file, start, pages })
-    }
-
-    /// Registers a new file over one contiguous `pages`-page extent and
-    /// returns its id and first device page.
-    fn reserve(&self, pages: u64) -> Result<(FileId, PageNo)> {
         let mut st = self.lock_state();
         // Best-fit single free extent, if any. Page-at-a-time allocations
         // nibble freed reservations into fragments, so a miss first merges
@@ -230,17 +208,17 @@ impl FileStore {
                 start
             }
         };
-        let id = FileId(st.next_file);
+        let file = FileId(st.next_file);
         st.next_file += 1;
         st.files.insert(
-            id,
+            file,
             FileMeta {
                 extents: vec![(start, pages)],
                 len_pages: 0,
                 len_bytes: 0,
             },
         );
-        Ok((id, start))
+        Ok(ReservedExtent { file, start, pages })
     }
 
     /// Opens an existing file.
@@ -725,28 +703,16 @@ impl<'a> VFile<'a> {
         }
         let (device_page, offset) = {
             let mut st = self.store.lock_state();
-            let meta = st
-                .files
-                .get(&self.id)
-                .ok_or(DeviceError::NoSuchFile { file: self.id.0 })?;
-            // Capacity reserved at creation (create_reserved) is consumed
-            // before anything is allocated.
-            let reserved: u64 = meta.extents.iter().map(|&(_, len)| len).sum();
-            let page = if meta.len_pages < reserved {
-                meta.page_at(meta.len_pages).expect("within reservation")
-            } else {
-                // Allocate one page, extending the last extent when
-                // contiguous.
-                let extents = self.store.allocate(&mut st, 1)?;
-                let (page, _) = extents[0];
-                let meta = st.files.get_mut(&self.id).expect("checked above");
-                match meta.extents.last_mut() {
-                    Some((start, len)) if *start + *len == page => *len += 1,
-                    _ => meta.extents.push((page, 1)),
-                }
-                page
-            };
+            if !st.files.contains_key(&self.id) {
+                return Err(DeviceError::NoSuchFile { file: self.id.0 });
+            }
+            // Allocate one page, extending the last extent when contiguous.
+            let (page, _) = self.store.allocate(&mut st, 1)?[0];
             let meta = st.files.get_mut(&self.id).expect("checked above");
+            match meta.extents.last_mut() {
+                Some((start, len)) if *start + *len == page => *len += 1,
+                _ => meta.extents.push((page, 1)),
+            }
             let offset = meta.len_pages;
             meta.len_pages += 1;
             meta.len_bytes += data.len() as u64;
@@ -921,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn create_reserved_yields_one_extent_despite_fragmentation() {
+    fn reserve_extent_yields_one_extent_despite_fragmentation() {
         let fs = store();
         // Fragment the free list: interleaved single-page files, odd ones
         // deleted.
@@ -936,32 +902,27 @@ mod tests {
         }
         // A 4-page reservation cannot be stitched from the 1-page holes: it
         // must be one fresh contiguous extent.
-        let f = fs.create_reserved(4).unwrap();
+        let ext = fs.reserve_extent(4).unwrap();
+        assert_eq!(fs.file_meta(ext.file()).unwrap().extents, vec![(20, 4)]);
+        let disk = fs.device();
         for i in 0..4u8 {
-            f.append_page(&[i]).unwrap();
+            ext.submit_write(&**disk, u64::from(i), &[i])
+                .unwrap()
+                .wait()
+                .unwrap();
         }
-        let meta = fs.file_meta(f.id()).unwrap();
-        assert_eq!(meta.extents.len(), 1, "reserved file is one extent");
-        assert_eq!(meta.extents[0].1, 4);
-        assert_eq!(meta.len_pages, 4);
-        for i in 0..4u64 {
-            assert_eq!(f.read_page(i).unwrap()[0], i as u8);
+        let bytes = ext.read_prefix(&**disk, 4).unwrap();
+        for i in 0..4 {
+            assert_eq!(bytes[i * PAGE_SIZE], i as u8);
         }
         // A 1-page reservation best-fits into a freed hole instead.
-        let g = fs.create_reserved(1).unwrap();
-        g.append_page(&[9]).unwrap();
-        let meta = fs.file_meta(g.id()).unwrap();
-        assert!(meta.extents[0].0 < 20, "reused a freed page");
-        // Appending past the reservation falls back to normal allocation.
-        let before = fs.file_meta(f.id()).unwrap().len_pages;
-        f.append_page(&[9]).unwrap();
-        assert_eq!(f.len_pages(), before + 1);
-        assert_eq!(&f.read_page(4).unwrap()[..1], &[9]);
+        let hole = fs.reserve_extent(1).unwrap();
+        assert!(hole.start() < 20, "reused a freed page");
         // Reservations larger than the device fail cleanly.
         let tiny = SimDisk::new_shared(DeviceConfig::free_latency().with_capacity_pages(8));
         let tfs = FileStore::new(tiny);
         assert!(matches!(
-            tfs.create_reserved(9),
+            tfs.reserve_extent(9),
             Err(DeviceError::OutOfSpace { .. })
         ));
     }
@@ -970,7 +931,7 @@ mod tests {
     fn reservation_miss_merges_fragments_before_taking_fresh_pages() {
         let fs = store();
         // A freed 8-page reservation, nibbled by single-page files...
-        let first = fs.create_reserved(8).unwrap().id();
+        let first = fs.reserve_extent(8).unwrap().file();
         fs.delete(first).unwrap();
         let nibblers: Vec<FileId> = (0..8u8)
             .map(|i| {
@@ -985,7 +946,7 @@ mod tests {
         for id in nibblers {
             fs.delete(id).unwrap();
         }
-        let again = fs.create_reserved(8).unwrap().id();
+        let again = fs.reserve_extent(8).unwrap().file();
         assert_eq!(fs.file_meta(again).unwrap().extents, vec![(0, 8)]);
         assert_eq!(fs.alloc_cursor().1, 8, "no fresh pages taken");
     }

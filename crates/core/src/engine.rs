@@ -1837,10 +1837,8 @@ impl BacklogEngine {
     /// The pre-streaming maintenance path: materializes all three tables,
     /// runs the materialized [`reference::join_and_purge`] oracle and
     /// rebuilds the tables from the resulting vectors. Retained as the
-    /// differential-testing oracle for [`maintenance`](Self::maintenance)
-    /// and as the baseline the `maintenance_pipeline` bench measures the
-    /// streaming pipeline against. Peak memory is the whole database, which
-    /// the report surfaces via
+    /// differential-testing oracle for [`maintenance`](Self::maintenance).
+    /// Peak memory is the whole database, which the report surfaces via
     /// [`peak_resident_records`](MaintenanceReport::peak_resident_records).
     ///
     /// # Errors

@@ -11,8 +11,7 @@
 //! output record by record, so maintenance never materializes a table — peak
 //! memory is one identity's history plus the consumers' output pages. The
 //! previous materialized implementation is preserved verbatim in
-//! [`mod@reference`] as a differential-testing oracle and as the baseline the
-//! `maintenance_pipeline` bench measures against.
+//! [`mod@reference`] as a differential-testing oracle.
 
 use crate::lineage::LineageTable;
 use crate::query::{join_from_to, join_identity_group, sorted_cow};
@@ -284,10 +283,8 @@ pub fn join_and_purge(
 ///
 /// This implementation collects every record of all three inputs into RAM
 /// before splitting them — O(database) peak memory — and exists only as the
-/// differential-testing oracle and as the baseline the
-/// `maintenance_pipeline` bench measures the streaming pipeline against
-/// (mirroring `backlog::query::reference` from the PR 1 rewrite). Do not
-/// call it from production paths.
+/// differential-testing oracle (mirroring `backlog::query::reference`). Do
+/// not call it from production paths.
 pub mod reference {
     use super::*;
 

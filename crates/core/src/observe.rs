@@ -308,10 +308,6 @@ pub fn io_metrics(io: &IoStatsSnapshot) -> MetricSet {
         "backlog_device_completed_async_ops_total",
         io.completed_async_ops,
     );
-    set.counter(
-        "backlog_device_batched_reads_saved_total",
-        io.batched_reads_saved,
-    );
     set
 }
 

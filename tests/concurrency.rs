@@ -77,8 +77,9 @@ fn baseline(e: &BacklogEngine) -> BTreeMap<u64, Vec<BackRef>> {
         .collect()
 }
 
-/// Readers hammer point and range queries while `maintenance_parallel`
-/// rebuilds all partitions; every result must equal the baseline.
+/// Readers hammer point and range queries while a full maintenance pass
+/// rebuilds all partitions on four workers; every result must equal the
+/// baseline.
 #[test]
 fn racing_readers_always_see_consistent_state() {
     let (_disk, e) = populated_engine();
@@ -308,6 +309,53 @@ fn racing_writers_with_queries_and_cp_flush() {
     }
     assert_eq!(e.query_block(0).unwrap().refs.len(), 1);
     assert_eq!(e.query_block(total - 1).unwrap().refs.len(), 1);
+}
+
+/// The same partition-disjoint batched workload, issued from one writer
+/// thread with a serial CP flush and from four writers with a four-wide
+/// flush, builds an identical `From` table: neither the callback routing nor
+/// the per-partition flush fan-out may depend on the thread count.
+#[test]
+fn writer_and_flush_thread_counts_build_identical_from_table() {
+    const PER_ROUND: u64 = 4_000;
+    const ROUNDS: u64 = 2;
+    let from_table = |threads: u64| {
+        let e = BacklogEngine::new_simulated(
+            BacklogConfig::partitioned(4, PER_ROUND)
+                .without_timing()
+                .with_cp_flush_threads(threads as usize),
+        );
+        let per_writer = PER_ROUND / threads;
+        for round in 0..ROUNDS {
+            std::thread::scope(|s| {
+                for w in 0..threads {
+                    let engine = &e;
+                    s.spawn(move || {
+                        let mut batch = backlog::WriteBatch::with_capacity(256);
+                        for block in w * per_writer..(w + 1) * per_writer {
+                            // The owner depends on the block and round alone,
+                            // never on which thread writes it.
+                            let offset = round * PER_ROUND + block;
+                            batch.add_reference(
+                                block,
+                                Owner::block(1 + block % 7, offset, LineId::ROOT),
+                            );
+                            if batch.len() == 256 {
+                                engine.apply(&batch);
+                                batch.clear();
+                            }
+                        }
+                        engine.apply(&batch);
+                    });
+                }
+            });
+            e.consistency_point().unwrap();
+        }
+        e.from_table().scan_disk().unwrap()
+    };
+    let serial = from_table(1);
+    assert_eq!(serial.len() as u64, ROUNDS * PER_ROUND);
+    assert_eq!(from_table(4), serial, "thread counts diverged");
 }
 
 /// Writers remove references while CP flushes race them; a record whose
