@@ -220,25 +220,24 @@ fn match_acquisition(
     }
 
     let is_guard_method = LOCK_METHODS.contains(&t.text.as_str());
-    let method_decl = locks.iter().position(|l| l.is_method && l.name == t.text);
-    if !is_guard_method && method_decl.is_none() {
+    let is_method_decl = locks.iter().any(|l| l.is_method && l.name == t.text);
+    if !is_guard_method && !is_method_decl {
         return None;
     }
 
     // Receiver: identifier before the `.`, skipping one `[...]` index.
     let receiver = receiver_ident(tokens, i - 1)?;
 
-    let decl = if let Some(mi) = method_decl {
-        let l = locks[mi];
-        if !l.qualifier.is_empty() && l.qualifier != receiver {
-            // A method registered with a qualifier only matches that
-            // receiver; fall back to an unqualified decl of the same name.
+    let decl = if is_method_decl {
+        // A method registered with a qualifier only matches that receiver;
+        // any other receiver falls back to an unqualified decl of the same
+        // name.
+        let named = |qualifier: &str| {
             locks
                 .iter()
-                .position(|o| o.is_method && o.name == t.text && o.qualifier.is_empty())?
-        } else {
-            mi
-        }
+                .position(|l| l.is_method && l.name == t.text && l.qualifier == qualifier)
+        };
+        named(&receiver).or_else(|| named(""))?
     } else {
         // Field form must be zero-arg: `file.read(&mut buf)` is I/O, not a
         // guard.
@@ -304,7 +303,7 @@ fn match_acquisition(
 }
 
 /// The identifier owning the `.` at `dot`, looking back over one optional
-/// `[...]` index (`self.partition_locks[p].read()`).
+/// `[...]` index (`self.partitions[p].read()`).
 fn receiver_ident(tokens: &[Token], dot: usize) -> Option<String> {
     let mut j = dot.checked_sub(1)?;
     if tokens[j].kind == TokenKind::Close(Delim::Bracket) {
@@ -347,14 +346,19 @@ fn check_and_push(
             Some(format!(
                 "`{fname}` acquires `{}` (tier {}) while holding `{}` (tier {}) — \
                  out of declared lock order",
-                new.name, new.tier, old.name, old.tier,
+                label(new),
+                new.tier,
+                label(old),
+                old.tier,
             ))
         } else if new.tier == h.tier && !(new.name == old.name && new.allow_repeat) {
             Some(format!(
                 "`{fname}` re-acquires tier {} (`{}`) while holding `{}` — \
                  same-tier nesting is a self-deadlock unless the lock is \
                  declared `allow_repeat`",
-                new.tier, new.name, old.name,
+                new.tier,
+                label(new),
+                label(old),
             ))
         } else {
             None
@@ -385,16 +389,28 @@ fn check_and_push(
     });
 }
 
+/// The lock's name, with its qualifier when it is a qualified method form
+/// (`to_table.ws_shard`).
+fn label(decl: &LockDecl) -> String {
+    if decl.qualifier.is_empty() {
+        decl.name.clone()
+    } else {
+        format!("{}.{}", decl.qualifier, decl.name)
+    }
+}
+
 fn describe(decl: &LockDecl, binding: &str, acquired_line: u32) -> String {
     if binding.is_empty() {
         format!(
             "a `{}` guard (tier {}, acquired line {acquired_line})",
-            decl.name, decl.tier
+            label(decl),
+            decl.tier
         )
     } else {
         format!(
             "`{binding}` (`{}`, tier {}, acquired line {acquired_line})",
-            decl.name, decl.tier
+            label(decl),
+            decl.tier
         )
     }
 }

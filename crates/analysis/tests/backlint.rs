@@ -51,6 +51,33 @@ fn lock_order_rule_is_live() {
 }
 
 #[test]
+fn qualified_method_forms_keep_their_own_tiers() {
+    // `combined_table.read_partition` then `from_table.read_partition`: the
+    // same method on two receivers, out of their declared order. The
+    // ascending function in the same fixture stays clean.
+    let hits = findings("bad_qualified_lock_order.rs", &Rules::default());
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].rule, RULE_LOCK_ORDER);
+    assert!(
+        hits[0].message.contains("descending_is_not")
+            && hits[0]
+                .message
+                .contains("`from_table.read_partition` (tier 50)")
+            && hits[0]
+                .message
+                .contains("`combined_table.read_partition` (tier 52)"),
+        "{}",
+        hits[0].message
+    );
+
+    let disabled = Rules {
+        lock_order: false,
+        ..Rules::default()
+    };
+    assert!(findings("bad_qualified_lock_order.rs", &disabled).is_empty());
+}
+
+#[test]
 fn guard_across_wait_is_live() {
     let hits = findings("bad_guard_across_wait.rs", &Rules::default());
     assert_eq!(hits.len(), 1, "{hits:?}");

@@ -1,11 +1,11 @@
 //! Runs the deterministic simulation seed matrix and measures scenario
 //! throughput, emitting JSON (captured in `BENCH_sim.json` at the repo
-//! root). Doubles as the CI `sim-smoke` gate: any failing scenario prints
-//! its one-line `seed=…` reproduction to stderr and the process exits
-//! non-zero.
+//! root). Doubles as the CI sim gate: any failing scenario prints its
+//! one-line `seed=…` reproduction to stderr and the process exits non-zero,
+//! and CI fails when the `trace_fingerprint` differs from `BENCH_sim.json`'s.
 //!
-//! Run with `cargo run --release --bin bench_sim`; pass `--smoke` for the
-//! 32-seed CI matrix.
+//! Run with `cargo run --release --bin bench_sim` (the full 256-seed matrix
+//! CI runs); pass `--smoke` for a 32-seed subset.
 
 use std::time::Instant;
 

@@ -6,7 +6,7 @@ use blockdev::{
     Completion, Device, DeviceConfig, FileId, FileStore, IoStatsSnapshot, ReservedExtent, SimDisk,
     Superblock, FIRST_DATA_PAGE, PAGE_SIZE,
 };
-use lsm::{LsmTable, TableConfig};
+use lsm::{LsmTable, RangeCapture, TableConfig};
 use obs::{spans, Histogram, MetricSet};
 use parking_lot::{Mutex, RwLock};
 
@@ -15,7 +15,7 @@ use crate::config::BacklogConfig;
 use crate::error::{BacklogError, Result};
 use crate::journal::{JournalEntry, JournalRing, JournalRingStats};
 use crate::lineage::LineageTable;
-use crate::maintenance::{join_and_purge_streaming, reference, JoinPurgeStats, MaintenancePlan};
+use crate::maintenance::{join_and_purge_streaming, JoinPurgeStats, MaintenancePlan};
 use crate::manifest::{self, BuiltRuns, LogTail, TableSnapshots};
 use crate::observe::EngineObs;
 use crate::query::{assemble_query, QueryResult};
@@ -65,14 +65,22 @@ use crate::types::{BlockNo, CpNumber, LineId, Owner, SnapshotId};
 ///   operation inside CP *n* must fence it before calling
 ///   [`consistency_point`](Self::consistency_point), as a real
 ///   write-anywhere file system does.
-/// * **Queries and maintenance** behave as before: readers always observe
-///   each partition as fully pre-rebuild or fully post-rebuild (a
-///   per-partition lock makes the three-table swap atomic to queries), and
-///   rebuild commits preserve state that arrived after the rebuild's
-///   snapshot — Level-0 runs appended by a racing CP flush and deletion
-///   marks added by a racing relocation survive the swap. Purge decisions
-///   use a point-in-time copy of the lineage, which can only err on the side
-///   of keeping a record one round longer.
+/// * **Queries and maintenance** use the tables' own partition locks, the
+///   only partition locks there are, taken `From` → `To` → `Combined`. A
+///   query, a maintenance pass and a durable CP's manifest take the three
+///   read guards of a partition together ([`lsm::PartitionReadGuard`]),
+///   capture snapshots (a query also the write-store records in range),
+///   release them, and only then stream. A rebuild commit takes the three
+///   write guards together ([`lsm::PartitionWriteGuard`]), so readers
+///   observe each partition fully pre- or fully post-rebuild across all
+///   three tables, and no lock is held across a rebuild's I/O. The commit
+///   preserves state that arrived after the rebuild's snapshot — Level-0
+///   runs appended by a racing CP flush and deletion marks added by a
+///   racing relocation survive the swap. Two passes over the same
+///   partition may race: the one that commits second finds its snapshot's
+///   runs gone, deletes its outputs and adds nothing to the report. Purge
+///   decisions use a point-in-time copy of the lineage, which can only err
+///   on the side of keeping a record one round longer.
 ///
 /// # Durability
 ///
@@ -121,19 +129,8 @@ pub struct BacklogEngine {
     /// locks (to stamp records with the current CP); snapshot-lifecycle
     /// mutations and the CP advance take brief write locks; maintenance
     /// works from a point-in-time clone so it never holds the lock while
-    /// waiting on partition locks.
+    /// waiting on partition guards.
     lineage: RwLock<LineageTable>,
-    /// Makes the three-table swap of one partition atomic with respect to
-    /// queries: queries hold read guards for the partitions they touch while
-    /// snapshotting/streaming the tables; a rebuild commit holds the write
-    /// guard across its three table swaps. Without this a query could join
-    /// a rebuilt `From` against a not-yet-rebuilt `Combined` and see a
-    /// record in neither (or both).
-    partition_locks: Vec<RwLock<()>>,
-    /// Serializes rebuilds of the same partition across overlapping
-    /// maintenance calls (two rebuilds from the same snapshot would both
-    /// survive the other's commit and duplicate the partition).
-    rebuild_locks: Vec<Mutex<()>>,
     /// Serializes consistency points against each other and holds the
     /// totals observed at the end of the previous CP, from which each
     /// [`CpReport`] derives its per-interval deltas.
@@ -344,12 +341,6 @@ impl BacklogEngine {
         let from_table = LsmTable::new(files.clone(), from);
         let to_table = LsmTable::new(files.clone(), to);
         let combined_table = LsmTable::new(files.clone(), combined);
-        let partition_locks = (0..config.partitioning.partition_count())
-            .map(|_| RwLock::new(()))
-            .collect();
-        let rebuild_locks = (0..config.partitioning.partition_count())
-            .map(|_| Mutex::new(()))
-            .collect();
         let cp_cache = CpCache::new(config.partitioning.partition_count(), 1);
         let obs = EngineObs::new(config.track_timing);
         files
@@ -363,8 +354,6 @@ impl BacklogEngine {
             to_table,
             combined_table,
             lineage: RwLock::new(LineageTable::new()),
-            partition_locks,
-            rebuild_locks,
             cp_lock: Mutex::new(CpInterval::default()),
             relocate_lock: Mutex::new(()),
             counters: Counters::default(),
@@ -514,12 +503,6 @@ impl BacklogEngine {
         let combined_table =
             LsmTable::open_from_manifest(files.clone(), combined, m.tables.combined)
                 .map_err(|e| stage("Combined table reopen", e.into()))?;
-        let partition_locks = (0..config.partitioning.partition_count())
-            .map(|_| RwLock::new(()))
-            .collect();
-        let rebuild_locks = (0..config.partitioning.partition_count())
-            .map(|_| Mutex::new(()))
-            .collect();
         // A ring recorded in the superblock is authoritative: its groups are
         // scanned from the recorded tail and stashed for
         // `replay_recovered_journal`, and the engine keeps journaling into
@@ -590,8 +573,6 @@ impl BacklogEngine {
             to_table,
             combined_table,
             lineage: RwLock::new(m.lineage),
-            partition_locks,
-            rebuild_locks,
             cp_lock: Mutex::new(interval),
             relocate_lock: Mutex::new(()),
             durable: true,
@@ -1154,15 +1135,15 @@ impl BacklogEngine {
             combined: Vec::with_capacity(partitions as usize),
         };
         for p in 0..partitions {
-            // Under the partition's shared lock, so the three per-table
-            // states are mutually consistent (a rebuild commit takes it
-            // exclusively across its three swaps).
-            let _guard = self.partition_locks[p as usize].read();
-            snaps.from.push(self.from_table.partition_snapshot(p));
-            snaps.to.push(self.to_table.partition_snapshot(p));
-            snaps
-                .combined
-                .push(self.combined_table.partition_snapshot(p));
+            // Under the three tables' read guards of `p` together, so the
+            // per-table states are mutually consistent (a rebuild commit
+            // takes the three write guards across its three swaps).
+            let from = self.from_table.read_partition(p);
+            let to = self.to_table.read_partition(p);
+            let combined = self.combined_table.read_partition(p);
+            snaps.from.push(from.snapshot());
+            snaps.to.push(to.snapshot());
+            snaps.combined.push(combined.snapshot());
         }
         let encode = |prev: Option<&manifest::LogView>| {
             manifest::encode_frame(
@@ -1440,10 +1421,11 @@ impl BacklogEngine {
     /// range as used by volume shrinking and defragmentation).
     ///
     /// Takes `&self` and may run from any number of threads, concurrently
-    /// with an in-flight maintenance rebuild: the per-partition locks below
-    /// guarantee each partition is observed fully pre- or fully post-swap
-    /// across all three tables, and the tables stream from immutable run
-    /// snapshots underneath.
+    /// with an in-flight maintenance rebuild: each partition is captured
+    /// under the three tables' read guards of it, taken together, so it is
+    /// observed fully pre- or fully post-swap across all three tables; the
+    /// streaming happens after, from immutable run snapshots, with no lock
+    /// held.
     ///
     /// Caveat: the per-operation I/O accounting in the returned
     /// [`QueryResult`] (and in [`MaintenanceReport::io`]) is a delta of the
@@ -1459,21 +1441,25 @@ impl BacklogEngine {
         let io_before = self.io_snapshot();
         let query_t0 = self.obs.now();
         let _query_span = self.obs.recorder().span(spans::QUERY_TOTAL, min);
-        // Hold shared guards for the touched partitions so a concurrent
-        // rebuild commit (which takes them exclusively) cannot interleave
-        // between the three per-table reads. Ascending order, matching every
-        // other multi-partition acquisition.
+        // Each touched partition is captured under the three tables' read
+        // guards of it, taken together: a rebuild commit takes the three
+        // write guards, so it cannot land between the per-table captures.
+        // The guards are released before anything is streamed.
         let tables_span = self.obs.recorder().span(spans::QUERY_TABLES, min);
-        let guards: Vec<_> = self
-            .config
-            .partitioning
-            .partitions_for_range(min, max)
-            .map(|p| self.partition_locks[p as usize].read())
-            .collect();
-        let froms = self.from_table.query_range(min, max)?;
-        let tos = self.to_table.query_range(min, max)?;
-        let combined = self.combined_table.query_range(min, max)?;
-        drop(guards);
+        let mut froms = RangeCapture::new(&self.from_table, min, max);
+        let mut tos = RangeCapture::new(&self.to_table, min, max);
+        let mut combined = RangeCapture::new(&self.combined_table, min, max);
+        for p in froms.partitions() {
+            let from = self.from_table.read_partition(p);
+            let to = self.to_table.read_partition(p);
+            let comb = self.combined_table.read_partition(p);
+            from.capture(&mut froms);
+            to.capture(&mut tos);
+            comb.capture(&mut combined);
+        }
+        let froms = froms.into_records()?;
+        let tos = tos.into_records()?;
+        let combined = combined.into_records()?;
         drop(tables_span);
         // The lineage lock is taken only after the partition guards are
         // released, keeping the lock hierarchy acyclic.
@@ -1586,7 +1572,9 @@ impl BacklogEngine {
     /// join/purge → replacement builders → atomic three-table swap, from one
     /// point-in-time lineage copy shared by the whole run. `plan.threads` is
     /// clamped to `1..=selected partitions`; with one worker the loop runs
-    /// inline on the calling thread.
+    /// inline on the calling thread. Concurrent calls may rebuild the same
+    /// partition: whichever pass commits second is stale, discards its
+    /// output and counts nowhere in its report.
     ///
     /// Zombie snapshots are pruned only by a full plan: zombie liveness is a
     /// whole-database property, and partitions a partial plan skipped may
@@ -1625,7 +1613,8 @@ impl BacklogEngine {
         let threads = plan.threads.clamp(1, selected.len());
 
         let next = AtomicUsize::new(0);
-        let totals = Mutex::new(JoinPurgeStats::default());
+        // The passes' sums; a stale pass adds nothing.
+        let totals = Mutex::new(MaintenanceReport::default());
         let first_error: Mutex<Option<BacklogError>> = Mutex::new(None);
         // One point-in-time lineage copy for the whole run, shared by every
         // worker's partition passes.
@@ -1635,17 +1624,20 @@ impl BacklogEngine {
                 break;
             }
             let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(pidx, _, _)) = selected.get(i) else {
+            let Some(&(pidx, runs, _)) = selected.get(i) else {
                 break;
             };
             match self.maintenance_partition_pass(pidx, &lineage) {
-                Ok(pass) => {
+                Ok(Some(pass)) => {
                     let mut t = totals.lock();
-                    t.combined += pass.combined;
-                    t.incomplete += pass.incomplete;
-                    t.purged += pass.purged;
-                    t.peak_group_records = t.peak_group_records.max(pass.peak_group_records);
+                    t.partitions += 1;
+                    t.runs_merged += runs;
+                    t.combined_records += pass.combined;
+                    t.incomplete_records += pass.incomplete;
+                    t.purged_records += pass.purged;
+                    t.peak_resident_records = t.peak_resident_records.max(pass.peak_group_records);
                 }
+                Ok(None) => {}
                 Err(e) => {
                     first_error.lock().get_or_insert(e);
                     break;
@@ -1666,8 +1658,6 @@ impl BacklogEngine {
         if let Some(e) = first_error.lock().take() {
             return Err(e);
         }
-        let totals = totals.into_inner();
-
         let zombies_pruned = if plan.is_full() {
             self.lineage.read().prune_zombies() as u64
         } else {
@@ -1681,17 +1671,12 @@ impl BacklogEngine {
             .maintenance_runs
             .fetch_add(1, Ordering::Relaxed);
         Ok(Some(MaintenanceReport {
-            runs_merged: selected.iter().map(|&(_, runs, _)| runs).sum(),
-            combined_records: totals.combined,
-            incomplete_records: totals.incomplete,
-            purged_records: totals.purged,
             zombies_pruned,
             bytes_before,
             bytes_after,
             io,
             elapsed_ns: self.obs.wall_ns(elapsed),
-            partitions: selected.len() as u32,
-            peak_resident_records: totals.peak_group_records,
+            ..totals.into_inner()
         }))
     }
 
@@ -1716,22 +1701,29 @@ impl BacklogEngine {
     }
 
     /// Joins, purges and rebuilds one partition of all three tables,
-    /// streaming from snapshots of the old runs into the replacement runs.
-    /// Safe to call from several threads at once (an internal per-partition
-    /// rebuild lock serializes same-partition passes); queries, reference
-    /// callbacks and CP flushes proceed concurrently — the commit preserves
-    /// runs and deletion marks that arrive while the rebuild streams.
+    /// streaming from snapshots of the old runs into the replacement runs,
+    /// and returns what it joined and purged — or `None` when it was stale.
+    ///
+    /// The pass holds a partition lock only twice, briefly: the three
+    /// tables' read guards while it snapshots and their write guards while
+    /// it commits — never across its I/O. Queries, reference callbacks and
+    /// CP flushes proceed concurrently; the commit preserves runs and
+    /// deletion marks that arrive while the rebuild streams. Safe to call
+    /// from several threads at once, even on the same partition: a pass
+    /// whose snapshot's runs a concurrent pass already replaced is stale,
+    /// deletes its outputs and returns `None`.
+    ///
     /// `lineage` is the caller's point-in-time copy of the lineage (one
     /// clone per maintenance run, shared by every partition pass): purge
     /// decisions never hold the lineage lock while streaming or waiting on
-    /// partition locks (keeping the lock hierarchy acyclic), and a snapshot
+    /// partition guards (keeping the lock hierarchy acyclic), and a snapshot
     /// deleted while the pass runs survives one extra round — purging is
     /// conservative, never eager.
     fn maintenance_partition_pass(
         &self,
         pidx: u32,
         lineage: &LineageTable,
-    ) -> Result<JoinPurgeStats> {
+    ) -> Result<Option<JoinPurgeStats>> {
         let pass_t0 = self.obs.now();
         let _pass_span = self
             .obs
@@ -1742,25 +1734,19 @@ impl BacklogEngine {
             obs: &self.obs,
             t0: pass_t0,
         };
-        // One rebuild of a given partition at a time: two passes rebuilding
-        // the same partition from the same snapshot would each survive the
-        // other's commit and duplicate the partition's records.
-        let _rebuild_guard = self.rebuild_locks[pidx as usize].lock();
         // Input stage: immutable snapshots of the partition in all three
-        // tables, taken under the partition's shared lock so a concurrent
-        // maintenance call's commit (which takes it exclusively) cannot land
-        // between them — without this, overlapping passes over the same
-        // partition could join a pre-swap `From` against a post-swap `To`
-        // and resurrect already-combined records. Nothing below can be
-        // disturbed by (or disturb) concurrent readers; the swap at the end
-        // installs the replacements atomically.
+        // tables, taken under their three read guards together so a
+        // concurrent pass's commit (which takes the three write guards)
+        // cannot land between them — without this, overlapping passes over
+        // the same partition could join a pre-swap `From` against a
+        // post-swap `To` and resurrect already-combined records. Nothing
+        // below can be disturbed by (or disturb) concurrent readers; the
+        // swap at the end installs the replacements atomically.
         let (from_snap, to_snap, combined_snap) = {
-            let _snap_guard = self.partition_locks[pidx as usize].read();
-            (
-                self.from_table.partition_snapshot(pidx),
-                self.to_table.partition_snapshot(pidx),
-                self.combined_table.partition_snapshot(pidx),
-            )
+            let from = self.from_table.read_partition(pidx);
+            let to = self.to_table.read_partition(pidx);
+            let combined = self.combined_table.read_partition(pidx);
+            (from.snapshot(), to.snapshot(), combined.snapshot())
         };
         // Output stage: replacement runs under construction. Builders write
         // fresh files through the shared store; the tables' current runs are
@@ -1822,71 +1808,28 @@ impl BacklogEngine {
         // Swap. No fallible device writes happen past this point: committing
         // only installs the finished runs and retires the consumed ones
         // (runs flushed and marks added since the snapshots survive). The
-        // engine-level partition lock makes the three table swaps one atomic
-        // step from any query's point of view.
-        let swap_guard = self.partition_locks[pidx as usize].write();
-        self.from_table
-            .commit_rebuilt_partition(pidx, from_run, &from_snap);
-        self.to_table.commit_rebuilt_partition(pidx, None, &to_snap);
-        self.combined_table
-            .commit_rebuilt_partition(pidx, combined_run, &combined_snap);
-        drop(swap_guard);
-        Ok(stats)
-    }
-
-    /// The pre-streaming maintenance path: materializes all three tables,
-    /// runs the materialized [`reference::join_and_purge`] oracle and
-    /// rebuilds the tables from the resulting vectors. Retained as the
-    /// differential-testing oracle for [`maintenance`](Self::maintenance).
-    /// Peak memory is the whole database, which the report surfaces via
-    /// [`peak_resident_records`](MaintenanceReport::peak_resident_records).
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn maintenance_reference(&mut self) -> Result<MaintenanceReport> {
-        let io_before = self.io_snapshot();
-        let maint_t0 = self.obs.now();
-        let bytes_before = self.database_disk_bytes();
-        let runs_before = self.run_count();
-
-        let froms = self.from_table.scan_disk()?;
-        let tos = self.to_table.scan_disk()?;
-        let combined = self.combined_table.scan_disk()?;
-        let peak_resident_records = (froms.len() + tos.len() + combined.len()) as u64;
-        let output = {
-            let lineage = self.lineage.read();
-            reference::join_and_purge(&froms, &tos, &combined, &lineage)
-        };
-
-        self.from_table
-            .replace_disk_contents(&output.incomplete_from)?;
-        self.to_table.replace_disk_contents(&[])?;
-        self.combined_table
-            .replace_disk_contents(&output.combined)?;
-
-        let zombies_pruned = self.lineage.read().prune_zombies() as u64;
-        let bytes_after = self.database_disk_bytes();
-        let io = IoDelta::between(&io_before, &self.io_snapshot());
-        let elapsed = self.obs.now().saturating_sub(maint_t0);
-        self.obs.maintenance_ns.record(elapsed);
-        self.counters
-            .maintenance_runs
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(MaintenanceReport {
-            runs_merged: runs_before,
-            combined_records: output.combined.len() as u64,
-            incomplete_records: output.incomplete_from.len() as u64,
-            purged_records: output.purged,
-            zombies_pruned,
-            bytes_before,
-            bytes_after,
-            io,
-            elapsed_ns: self.obs.wall_ns(elapsed),
-            partitions: self.config.partitioning.partition_count(),
-            peak_resident_records: peak_resident_records
-                + (output.combined.len() + output.incomplete_from.len()) as u64,
-        })
+        // three write guards, taken together, make the three table swaps
+        // one atomic step from any query's point of view.
+        let mut from = self.from_table.write_partition(pidx);
+        let mut to = self.to_table.write_partition(pidx);
+        let mut combined = self.combined_table.write_partition(pidx);
+        if from.holds(&from_snap) && to.holds(&to_snap) && combined.holds(&combined_snap) {
+            from.commit_rebuild(from_run, &from_snap);
+            to.commit_rebuild(None, &to_snap);
+            combined.commit_rebuild(combined_run, &combined_snap);
+            return Ok(Some(stats));
+        }
+        // A concurrent pass over this partition committed first and
+        // consumed these snapshots: installing this pass's outputs would
+        // duplicate that pass's records.
+        drop((from, to, combined));
+        if let Some(run) = from_run {
+            let _ = run.delete();
+        }
+        if let Some(run) = combined_run {
+            let _ = run.delete();
+        }
+        Ok(None)
     }
 
     // ------------------------------------------------------------------
@@ -2410,44 +2353,51 @@ mod tests {
             .collect()
     }
 
+    /// Runs a full maintenance pass on `e` and checks it against the
+    /// materialized oracle, [`crate::maintenance::reference::join_and_purge`]
+    /// over the disk state the pass reads: afterwards `From`, `To` and
+    /// `Combined` hold exactly the oracle's incomplete records, nothing, and
+    /// its complete records, and the report counts what the oracle counts.
+    fn maintain_against_oracle(e: &BacklogEngine) -> MaintenanceReport {
+        let oracle = crate::maintenance::reference::join_and_purge(
+            &e.from_table().scan_disk().unwrap(),
+            &e.to_table().scan_disk().unwrap(),
+            &e.combined_table().scan_disk().unwrap(),
+            &e.lineage_snapshot(),
+        );
+        let report = e.maintenance().unwrap();
+        assert_eq!(e.from_table().scan_disk().unwrap(), oracle.incomplete_from);
+        assert_eq!(e.to_table().scan_disk().unwrap(), Vec::new());
+        assert_eq!(e.combined_table().scan_disk().unwrap(), oracle.combined);
+        assert_eq!(
+            (
+                report.combined_records,
+                report.incomplete_records,
+                report.purged_records
+            ),
+            (
+                oracle.combined.len() as u64,
+                oracle.incomplete_from.len() as u64,
+                oracle.purged
+            )
+        );
+        report
+    }
+
     #[test]
     fn maintenance_matches_materialized_reference_oracle() {
-        // Two engines fed the identical workload; one maintained by the
-        // streaming pipeline, the other by the retained materialized path.
-        // Their on-disk tables must end up identical.
-        let mut streaming = engine();
-        let mut materialized = engine();
-        populate(&mut streaming, 300);
-        populate(&mut materialized, 300);
-        let a = streaming.maintenance().unwrap();
-        let b = materialized.maintenance_reference().unwrap();
-        assert_eq!(a.combined_records, b.combined_records);
-        assert_eq!(a.incomplete_records, b.incomplete_records);
-        assert_eq!(a.purged_records, b.purged_records);
-        assert_eq!(
-            streaming.from_table().scan_disk().unwrap(),
-            materialized.from_table().scan_disk().unwrap()
-        );
-        assert_eq!(
-            streaming.to_table().scan_disk().unwrap(),
-            materialized.to_table().scan_disk().unwrap()
-        );
-        assert_eq!(
-            streaming.combined_table().scan_disk().unwrap(),
-            materialized.combined_table().scan_disk().unwrap()
-        );
-        assert_eq!(
-            all_query_results(&mut streaming, 300),
-            all_query_results(&mut materialized, 300)
-        );
+        let mut e = engine();
+        populate(&mut e, 300);
+        let baseline = all_query_results(&mut e, 300);
+        let report = maintain_against_oracle(&e);
+        assert_eq!(all_query_results(&mut e, 300), baseline);
         // The whole point of the pipeline: the streaming pass held a few
-        // records; the materialized pass held the database.
+        // records, never the database.
         assert!(
-            a.peak_resident_records < 16,
+            report.peak_resident_records < 16,
             "peak {}",
-            a.peak_resident_records
+            report.peak_resident_records
         );
-        assert!(b.peak_resident_records > 300);
     }
 
     #[test]
@@ -2575,27 +2525,15 @@ mod tests {
 
     #[test]
     fn partitioned_maintenance_matches_reference_and_bounds_memory() {
-        let mut streaming =
+        let mut e =
             BacklogEngine::new_simulated(BacklogConfig::partitioned(8, 600).without_timing());
-        let mut materialized =
-            BacklogEngine::new_simulated(BacklogConfig::partitioned(8, 600).without_timing());
-        populate(&mut streaming, 600);
-        populate(&mut materialized, 600);
-        let a = streaming.maintenance().unwrap();
-        materialized.maintenance_reference().unwrap();
-        assert_eq!(a.partitions, 8);
+        populate(&mut e, 600);
+        let report = maintain_against_oracle(&e);
+        assert_eq!(report.partitions, 8);
         assert!(
-            a.peak_resident_records < 16,
+            report.peak_resident_records < 16,
             "streaming pass must never hold a partition's records, peak {}",
-            a.peak_resident_records
-        );
-        assert_eq!(
-            streaming.from_table().scan_disk().unwrap(),
-            materialized.from_table().scan_disk().unwrap()
-        );
-        assert_eq!(
-            streaming.combined_table().scan_disk().unwrap(),
-            materialized.combined_table().scan_disk().unwrap()
+            report.peak_resident_records
         );
     }
 

@@ -868,6 +868,18 @@ mod tests {
         RefIdentity::new(b, Owner::block(1, b, LineId::ROOT))
     }
 
+    /// Merges partition `pidx` of `table` into one run, consuming its
+    /// deletion marks, through the guard API a maintenance pass uses.
+    fn rebuild<R: Record>(table: &LsmTable<R>, pidx: u32) {
+        let snap = table.read_partition(pidx).snapshot();
+        let mut builder = table.new_run_builder(snap.disk_records() as usize);
+        for rec in snap.iter_disk().unwrap() {
+            builder.push(&rec.unwrap()).unwrap();
+        }
+        let run = builder.finish_nonempty().unwrap();
+        assert!(table.write_partition(pidx).commit_rebuild(run, &snap));
+    }
+
     fn fixture() -> Fixture {
         let files = Arc::new(FileStore::new(SimDisk::new_shared(
             DeviceConfig::free_latency(),
@@ -895,10 +907,14 @@ mod tests {
     impl Fixture {
         fn snaps(&self) -> TableSnapshots {
             TableSnapshots {
-                from: (0..2).map(|p| self.from.partition_snapshot(p)).collect(),
-                to: (0..2).map(|p| self.to.partition_snapshot(p)).collect(),
+                from: (0..2)
+                    .map(|p| self.from.read_partition(p).snapshot())
+                    .collect(),
+                to: (0..2)
+                    .map(|p| self.to.read_partition(p).snapshot())
+                    .collect(),
                 combined: (0..2)
-                    .map(|p| self.combined.partition_snapshot(p))
+                    .map(|p| self.combined.read_partition(p).snapshot())
                     .collect(),
             }
         }
@@ -933,7 +949,7 @@ mod tests {
             ) {
                 assert_eq!(parts.len(), 2);
                 for (p, part) in parts.iter().enumerate() {
-                    let snap = table.partition_snapshot(p as u32);
+                    let snap = table.read_partition(p as u32).snapshot();
                     let want = snap.manifest();
                     assert_eq!(part.runs, want.runs, "{} p{p} runs", table.config().name);
                     assert_eq!(part.deletions, want.deletions, "p{p} deletions");
@@ -1013,7 +1029,7 @@ mod tests {
         fx.assert_describes_installed(&m);
         assert_eq!((m.delta_frames, m.delta_pages), (2, 2));
 
-        fx.from.compact_partition(0).unwrap();
+        rebuild(&fx.from, 0);
         let (d8, _) = fx.frame(Some(&view), 8, BuiltRuns::NONE);
         let m = decode_log(&assemble(&[&base, &d6, &d7, &d8]), 8, partitioning()).unwrap();
         fx.assert_describes_installed(&m);
@@ -1149,8 +1165,8 @@ mod tests {
         let d8 = log.len() - refs[3].len();
         let mut lineage = Vec::new();
         fx.lineage.encode(&mut lineage);
-        let merged = fx.from.partition_snapshot(0).runs()[0].clone();
-        let survivor = fx.from.partition_snapshot(1).runs()[0].file_id();
+        let merged = fx.from.read_partition(0).snapshot().runs()[0].clone();
+        let survivor = fx.from.read_partition(1).snapshot().runs()[0].file_id();
         let words = merged.meta().bloom_words.len();
         let extents = merged.persisted_file().extents.len();
         let frontier_n = d8 + HEADER_LEN + 80;

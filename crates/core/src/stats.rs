@@ -216,14 +216,16 @@ pub struct MaintenanceReport {
     pub elapsed_ns: u64,
     /// Partitions rebuilt by this pass: every partition for a full pass
     /// (1 for an unpartitioned database), otherwise however many the
-    /// [`MaintenancePlan`](crate::MaintenancePlan) selected.
+    /// [`MaintenancePlan`](crate::MaintenancePlan) selected — less any that
+    /// a concurrent pass rebuilt first (this pass's rebuild of it was stale
+    /// and counts nowhere in the report).
     pub partitions: u32,
     /// Peak number of records the pass held in memory at any instant — the
     /// largest single identity's record group flowing through the streaming
-    /// join. The materialized reference path
-    /// ([`maintenance_reference`](crate::BacklogEngine::maintenance_reference))
-    /// reports the full record count here, which is what the streaming
-    /// pipeline exists to avoid.
+    /// join. The materialized oracle
+    /// ([`maintenance::reference`](crate::maintenance::reference)) holds
+    /// every record of the database, which is what the streaming pipeline
+    /// exists to avoid.
     pub peak_resident_records: u64,
 }
 

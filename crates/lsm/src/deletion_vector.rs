@@ -9,9 +9,11 @@ use crate::record::Record;
 /// defragmentation or volume shrinking): rather than modifying the immutable
 /// RS, the affected back-reference records are added to the deletion vector
 /// and filtered out of query results "in a manner that is completely opaque
-/// to query processing logic". When the vector grows large the table can be
-/// rewritten with the deleted tuples dropped
-/// (see [`LsmTable::rewrite_purging_deletions`](crate::LsmTable::rewrite_purging_deletions)).
+/// to query processing logic". A partition's marks are consumed by its next
+/// rebuild, which drops the deleted tuples in-stream
+/// ([`PartitionSnapshot::iter_disk`](crate::PartitionSnapshot::iter_disk))
+/// and clears the marks when it commits
+/// ([`PartitionWriteGuard::commit_rebuild`](crate::PartitionWriteGuard::commit_rebuild)).
 #[derive(Debug, Clone)]
 pub struct DeletionVector<R: Record> {
     deleted: BTreeSet<R>,

@@ -91,7 +91,7 @@ pub use partition::Partitioning;
 pub use record::Record;
 pub use run::{Run, RunBuilder, RunMeta, RunRangeIter, RunStats};
 pub use store::{
-    FlushStats, LsmTable, MaintenanceStats, PartitionManifest, PartitionSnapshot, PreparedFlush,
-    TableConfig, TableStats,
+    FlushStats, LsmTable, PartitionManifest, PartitionReadGuard, PartitionSnapshot,
+    PartitionWriteGuard, PreparedFlush, RangeCapture, TableConfig, TableStats,
 };
 pub use write_store::{ShardedWriteStore, WriteShard, WriteStore};

@@ -1,9 +1,10 @@
 use std::cell::Cell;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use blockdev::{Completion, FileStore};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::bloom::BloomConfig;
 use crate::deletion_vector::DeletionVector;
@@ -80,21 +81,6 @@ pub struct FlushStats {
     pub pages_written: u64,
 }
 
-/// Statistics returned by maintenance operations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceStats {
-    /// Runs that existed before the operation.
-    pub runs_before: u32,
-    /// Runs that exist after the operation.
-    pub runs_after: u32,
-    /// Disk-resident records before.
-    pub records_before: u64,
-    /// Disk-resident records after.
-    pub records_after: u64,
-    /// Pages occupied after the operation.
-    pub pages_after: u64,
-}
-
 /// Point-in-time statistics for a table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableStats {
@@ -119,9 +105,10 @@ pub struct TableStats {
 
 /// The swappable per-partition state: an immutable, shared run list plus the
 /// deletion marks for keys in the partition. Readers clone the two `Arc`s
-/// under the partition's read lock (a [`PartitionSnapshot`]); rebuilds
-/// replace them wholesale under the write lock, so a swap is atomic with
-/// respect to every reader and never blocks on in-flight page I/O.
+/// under the partition's read lock (a [`PartitionSnapshot`], taken through a
+/// [`PartitionReadGuard`]); rebuilds replace them wholesale under the write
+/// lock ([`PartitionWriteGuard`]), so a swap is atomic with respect to every
+/// reader and never blocks on in-flight page I/O.
 #[derive(Debug)]
 struct PartitionState<R: Record> {
     /// On-disk runs, oldest first.
@@ -144,10 +131,10 @@ impl<R: Record> PartitionState<R> {
 ///
 /// Snapshots are what make concurrent reads and rebuilds safe: a query or a
 /// maintenance pass captures the partition once (two `Arc` clones under a
-/// read lock) and then streams from it without further coordination. A
-/// concurrent [`commit_rebuilt_partition`](LsmTable::commit_rebuilt_partition)
-/// swap does not disturb the snapshot — replaced runs are retired, not
-/// deleted, and their pages survive until the last snapshot drops.
+/// [`PartitionReadGuard`]) and then streams from it with no lock held. A
+/// concurrent [`commit_rebuild`](PartitionWriteGuard::commit_rebuild) swap
+/// does not disturb the snapshot — replaced runs are retired, not deleted,
+/// and their pages survive until the last snapshot drops.
 #[derive(Debug, Clone)]
 pub struct PartitionSnapshot<R: Record> {
     key_range: (u64, u64),
@@ -234,6 +221,251 @@ impl<R: Record> PartitionSnapshot<R> {
             Ok(rec) => deletions.is_empty() || !deletions.contains(rec),
             Err(_) => true,
         }))
+    }
+}
+
+/// Partition `pidx` of one table, read-locked
+/// ([`LsmTable::read_partition`]).
+///
+/// Whatever is captured under the guard is one instant of the partition: a
+/// CP flush commit, a deletion mark and a rebuild commit each take the
+/// partition's write lock. A caller holding the guards of the same partition
+/// in several tables captures all of them at one instant — the engine takes
+/// `From`, `To` and `Combined` in that order, the order a rebuild commit
+/// takes their [`PartitionWriteGuard`]s. Capture, drop the guards, then
+/// stream: snapshots need no lock.
+#[derive(Debug)]
+pub struct PartitionReadGuard<'a, R: Record> {
+    table: &'a LsmTable<R>,
+    pidx: u32,
+    state: RwLockReadGuard<'a, PartitionState<R>>,
+}
+
+impl<R: Record> PartitionReadGuard<'_, R> {
+    /// An immutable snapshot of the partition's disk state: two `Arc`
+    /// clones.
+    pub fn snapshot(&self) -> PartitionSnapshot<R> {
+        PartitionSnapshot {
+            key_range: self.table.config.partitioning.key_range(self.pidx),
+            runs: self.state.runs.clone(),
+            deletions: self.state.deletions.clone(),
+        }
+    }
+
+    /// Adds the partition to `into`: its snapshot plus the write-store
+    /// records in the capture's key range. The shard is read under this
+    /// guard, and a flush commit takes both, so each record is seen in the
+    /// shard or in the freshly installed run — never in both, never in
+    /// neither.
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that partitions are captured in ascending order, each
+    /// once.
+    pub fn capture(&self, into: &mut RangeCapture<R>) {
+        debug_assert_eq!(
+            self.pidx,
+            into.partitions().start() + into.snaps.len() as u32,
+            "partitions captured out of order"
+        );
+        self.table
+            .ws
+            .lock_shard(self.pidx)
+            .collect_range(into.min, into.max, &mut into.ws);
+        into.snaps.push(self.snapshot());
+    }
+}
+
+/// Partition `pidx` of one table, write-locked
+/// ([`LsmTable::write_partition`]): the guard a rebuild commits under. A
+/// rebuild of several tables takes their guards together, in the same order
+/// as readers take [`PartitionReadGuard`]s, so no reader observes it
+/// half-committed.
+#[derive(Debug)]
+pub struct PartitionWriteGuard<'a, R: Record> {
+    table: &'a LsmTable<R>,
+    pidx: u32,
+    state: RwLockWriteGuard<'a, PartitionState<R>>,
+}
+
+impl<R: Record> PartitionWriteGuard<'_, R> {
+    /// Whether every run of `snap` is still installed. Only a rebuild
+    /// commit removes runs, so `false` means another rebuild of this
+    /// partition committed after `snap` was taken and consumed what `snap`
+    /// holds: a rebuild streamed from `snap` is *stale*, and installing it
+    /// would duplicate that rebuild's records.
+    pub fn holds(&self, snap: &PartitionSnapshot<R>) -> bool {
+        Arc::ptr_eq(&self.state.runs, &snap.runs)
+            || snap
+                .runs
+                .iter()
+                .all(|old| self.state.runs.iter().any(|run| Arc::ptr_eq(old, run)))
+    }
+
+    /// Atomically swaps the runs a rebuild consumed (`rebuilt_from`, the
+    /// snapshot the rebuild streamed) for `new_run` (build-then-swap), and
+    /// returns `true`. The caller has already built `new_run` to completion
+    /// — every page of it is on the device — so this step performs no
+    /// fallible writes: it installs the new run list, drops the deletion
+    /// marks the rebuild consumed in-stream and retires the replaced runs.
+    /// Readers holding a pre-swap [`PartitionSnapshot`] keep streaming from
+    /// the old runs (whose files survive until the last snapshot drops —
+    /// `rebuilt_from` among them); every snapshot taken after the swap sees
+    /// only the new run.
+    ///
+    /// State that arrived *after* the rebuild's snapshot survives the swap:
+    /// Level-0 runs appended by a racing consistency-point flush stay
+    /// installed (after `new_run`, preserving oldest-first order), and
+    /// deletion marks added by a racing relocation keep masking their
+    /// records — only the runs and marks the rebuild actually consumed are
+    /// replaced. A rebuild that failed before this point simply never calls
+    /// it, leaving the partition fully intact and queryable.
+    ///
+    /// Two rebuilds of the same partition may race; whichever commits
+    /// second is stale (see [`holds`](Self::holds)). Its commit returns
+    /// `false`, deletes `new_run` and leaves the partition unchanged.
+    ///
+    /// Passing `None` empties the consumed runs (e.g. every record was
+    /// purged).
+    ///
+    /// # Panics
+    ///
+    /// Debug-asserts that `new_run`'s keys lie inside the partition.
+    pub fn commit_rebuild(
+        &mut self,
+        new_run: Option<Run<R>>,
+        rebuilt_from: &PartitionSnapshot<R>,
+    ) -> bool {
+        if !self.holds(rebuilt_from) {
+            if let Some(run) = new_run {
+                let _ = run.delete();
+            }
+            return false;
+        }
+        let (min, max) = self.table.config.partitioning.key_range(self.pidx);
+        if let Some(run) = &new_run {
+            debug_assert!(
+                run.min_key() >= min && run.max_key() <= max,
+                "rebuilt run keys [{}, {}] escape partition {} [{min}, {max}]",
+                run.min_key(),
+                run.max_key(),
+                self.pidx,
+            );
+        }
+        let st = &mut *self.state;
+        let mut fresh: Vec<Arc<Run<R>>> = new_run.into_iter().map(Arc::new).collect();
+        for run in st.runs.iter() {
+            if rebuilt_from.runs.iter().any(|old| Arc::ptr_eq(old, run)) {
+                // `rebuilt_from` still holds it, so no file is deleted
+                // under the lock.
+                run.retire();
+            } else {
+                // Appended by a flush after the snapshot: keep it.
+                fresh.push(run.clone());
+            }
+        }
+        st.deletions = if Arc::ptr_eq(&st.deletions, &rebuilt_from.deletions) {
+            Arc::new(DeletionVector::new())
+        } else {
+            // Marks added since the snapshot were not consumed by the
+            // rebuild; they must keep masking their records.
+            Arc::new(st.deletions.difference(&rebuilt_from.deletions))
+        };
+        st.runs = Arc::new(fresh);
+        true
+    }
+}
+
+/// One table's records in `min..=max`, captured partition by partition under
+/// [`PartitionReadGuard`]s and merged with no lock held
+/// ([`into_records`](Self::into_records)).
+#[derive(Debug)]
+pub struct RangeCapture<R: Record> {
+    partitioning: Partitioning,
+    min: u64,
+    max: u64,
+    snaps: Vec<PartitionSnapshot<R>>,
+    /// Write-store records in range. Partitions cover ascending key ranges
+    /// and are captured in order, so this is sorted.
+    ws: Vec<R>,
+}
+
+impl<R: Record> RangeCapture<R> {
+    /// An empty capture of `table`'s records in `min..=max`. Capture each of
+    /// its [`partitions`](Self::partitions) into it, in ascending order,
+    /// before merging.
+    pub fn new(table: &LsmTable<R>, min: u64, max: u64) -> Self {
+        RangeCapture {
+            partitioning: table.config.partitioning,
+            min,
+            max,
+            snaps: Vec::new(),
+            ws: Vec::new(),
+        }
+    }
+
+    /// The partitions the range touches, ascending.
+    pub fn partitions(&self) -> RangeInclusive<u32> {
+        self.partitioning.partitions_for_range(self.min, self.max)
+    }
+
+    /// Every captured record whose partition key falls in `min..=max`,
+    /// sorted, with deletion-vector records removed.
+    ///
+    /// Each relevant run contributes a lazy [`iter_range`](Run::iter_range)
+    /// cursor, the write-store records one more source, and a [`KWayMerge`]
+    /// produces the result directly, applying the deletion vectors record
+    /// by record — no per-source materialization, and no interference with
+    /// a rebuild swapping partitions underneath.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors from reading run pages.
+    pub fn into_records(self) -> Result<Vec<R>> {
+        let (min, max) = (self.min, self.max);
+        let first = *self.partitions().start();
+        // Device errors hit mid-stream land in this cell (the merge operates
+        // on plain records); the first error aborts the query.
+        let error: Cell<Option<LsmError>> = Cell::new(None);
+        let mut sources: Vec<Box<dyn Iterator<Item = R> + '_>> = Vec::new();
+        if !self.ws.is_empty() {
+            sources.push(Box::new(self.ws.into_iter()));
+        }
+        for snap in &self.snaps {
+            for run in snap.runs() {
+                if run.may_contain_range(min, max) {
+                    // Positioning errors surface immediately; later page errors
+                    // are captured by the adapter below.
+                    let iter = run.iter_range(min, max)?;
+                    sources.push(Box::new(CaptureErrors {
+                        inner: iter,
+                        sink: &error,
+                    }));
+                }
+            }
+        }
+        let apply_deletions = self.snaps.iter().any(|s| !s.deletions.is_empty());
+        let mut out = Vec::new();
+        let mut merge = KWayMerge::new(sources);
+        loop {
+            // Abort at the first captured error instead of draining the
+            // remaining sources into a result that will be thrown away.
+            if let Some(e) = error.take() {
+                return Err(e);
+            }
+            let Some(rec) = merge.next() else { break };
+            let deleted = apply_deletions && {
+                let pidx = self.partitioning.partition_of(rec.partition_key());
+                self.snaps[(pidx - first) as usize].deletions.contains(&rec)
+            };
+            if !deleted {
+                out.push(rec);
+            }
+        }
+        match error.take() {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     }
 }
 
@@ -534,19 +766,19 @@ impl<R: Record> Drop for PreparedFlush<'_, R> {
 ///
 /// *Reads and rebuilds.* On-disk state is shared and swappable: each
 /// partition holds an `Arc<Vec<Arc<Run>>>` run list plus its deletion marks
-/// behind a read/write lock. Reads clone the `Arc`s and stream from
-/// immutable runs; rebuilds build replacements off to the side and
-/// [`commit_rebuilt_partition`](Self::commit_rebuilt_partition) swaps in the
+/// behind a read/write lock, the table's only partition lock. Reads capture
+/// the `Arc`s under a [`PartitionReadGuard`], release it and stream from
+/// immutable runs; rebuilds build replacements off to the side, holding no
+/// lock, and [`PartitionWriteGuard::commit_rebuild`] swaps in the
 /// replacement while *preserving* state that arrived after the rebuild's
 /// snapshot (Level-0 runs appended by a racing flush, deletion marks added
 /// by a racing relocation). Replaced runs are retired, not deleted — their
 /// files are reclaimed when the last snapshot drops — so readers always
 /// observe a partition as fully old or fully new.
 ///
-/// Rebuilding the *same* partition from two threads at once is not
-/// supported (both rebuilds would survive the other's commit and duplicate
-/// the partition's records); callers serialize per-partition rebuilds, as
-/// the engine's maintenance scheduler does.
+/// Two rebuilds of the *same* partition may run at once: the commit detects
+/// the second as stale (its snapshot's runs are no longer installed),
+/// deletes its output and leaves the partition as the first left it.
 #[derive(Debug)]
 pub struct LsmTable<R: Record> {
     files: Arc<FileStore>,
@@ -730,20 +962,32 @@ impl<R: Record> LsmTable<R> {
             .sum()
     }
 
-    /// Takes an immutable snapshot of partition `pidx`: two `Arc` clones
-    /// under the partition's read lock. All read paths — queries, scans and
-    /// the streaming rebuild pipeline — operate on snapshots, which is what
-    /// lets them run concurrently with partition swaps.
+    /// Read-locks partition `pidx`. All read paths — queries, scans and the
+    /// streaming rebuild pipeline — capture [`PartitionSnapshot`]s under the
+    /// guard and stream after dropping it, which is what lets them run
+    /// concurrently with partition swaps.
     ///
     /// # Panics
     ///
     /// Panics if `pidx` is out of range.
-    pub fn partition_snapshot(&self, pidx: u32) -> PartitionSnapshot<R> {
-        let st = self.partitions[pidx as usize].read();
-        PartitionSnapshot {
-            key_range: self.config.partitioning.key_range(pidx),
-            runs: st.runs.clone(),
-            deletions: st.deletions.clone(),
+    pub fn read_partition(&self, pidx: u32) -> PartitionReadGuard<'_, R> {
+        PartitionReadGuard {
+            table: self,
+            pidx,
+            state: self.partitions[pidx as usize].read(),
+        }
+    }
+
+    /// Write-locks partition `pidx`, to commit a rebuild under.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pidx` is out of range.
+    pub fn write_partition(&self, pidx: u32) -> PartitionWriteGuard<'_, R> {
+        PartitionWriteGuard {
+            table: self,
+            pidx,
+            state: self.partitions[pidx as usize].write(),
         }
     }
 
@@ -855,20 +1099,19 @@ impl<R: Record> LsmTable<R> {
     }
 
     /// Returns every record (write store and runs) whose partition key falls
-    /// in `min..=max`, sorted, with deletion-vector records removed.
-    ///
-    /// The read path streams and borrows only partition snapshots: each
-    /// relevant run contributes a lazy [`iter_range`](Run::iter_range)
-    /// cursor, the write store contributes its range iterator, and a
-    /// [`KWayMerge`] produces the result directly, applying the deletion
-    /// vector record by record — no per-source materialization, and no
-    /// interference with a rebuild swapping partitions underneath.
+    /// in `min..=max`, sorted, with deletion-vector records removed: each
+    /// partition is captured under its [`PartitionReadGuard`], then the
+    /// capture is merged with no lock held ([`RangeCapture::into_records`]).
     ///
     /// # Errors
     ///
     /// Propagates device errors from reading run pages.
     pub fn query_range(&self, min: u64, max: u64) -> Result<Vec<R>> {
-        self.merge_streams(min, max, true)
+        let mut capture = RangeCapture::new(self, min, max);
+        for p in capture.partitions() {
+            self.read_partition(p).capture(&mut capture);
+        }
+        capture.into_records()
     }
 
     /// Returns all records in the table (write store and runs), sorted, with
@@ -881,313 +1124,20 @@ impl<R: Record> LsmTable<R> {
     /// sorted, with deleted records removed. Database maintenance operates on
     /// this view: write-store records always survive maintenance untouched.
     pub fn scan_disk(&self) -> Result<Vec<R>> {
-        self.merge_streams(0, u64::MAX, false)
-    }
-
-    /// The shared streaming read path behind [`query_range`](Self::query_range)
-    /// and [`scan_disk`](Self::scan_disk).
-    fn merge_streams(&self, min: u64, max: u64, include_ws: bool) -> Result<Vec<R>> {
-        // Capture the relevant partitions first; everything below streams
-        // from these immutable snapshots. (Each partition is individually
-        // consistent; records never move between partitions, so a query
-        // spanning several partitions cannot observe a torn rebuild.) The
-        // write-store shard is collected while the partition's read lock is
-        // held: a flush commit takes both the partition lock and the shard
-        // lock, so each record is observed in the shard or in the freshly
-        // installed run — never in both, never in neither. Partitions cover
-        // ascending key ranges, so the concatenated shard records are
-        // globally sorted.
-        let range = self.config.partitioning.partitions_for_range(min, max);
-        let first = *range.start();
-        let mut snaps: Vec<PartitionSnapshot<R>> = Vec::new();
-        let mut ws_records: Vec<R> = Vec::new();
-        for p in range {
-            let st = self.partitions[p as usize].read();
-            if include_ws {
-                self.ws
-                    .lock_shard(p)
-                    .collect_range(min, max, &mut ws_records);
-            }
-            snaps.push(PartitionSnapshot {
-                key_range: self.config.partitioning.key_range(p),
-                runs: st.runs.clone(),
-                deletions: st.deletions.clone(),
-            });
+        let mut capture = RangeCapture::new(self, 0, u64::MAX);
+        for p in capture.partitions() {
+            let snap = self.read_partition(p).snapshot();
+            capture.snaps.push(snap);
         }
-        // Device errors hit mid-stream land in this cell (the merge operates
-        // on plain records); the first error aborts the query.
-        let error: Cell<Option<LsmError>> = Cell::new(None);
-        let mut sources: Vec<Box<dyn Iterator<Item = R> + '_>> = Vec::new();
-        if !ws_records.is_empty() {
-            sources.push(Box::new(ws_records.into_iter()));
-        }
-        for snap in &snaps {
-            for run in snap.runs() {
-                if run.may_contain_range(min, max) {
-                    // Positioning errors surface immediately; later page errors
-                    // are captured by the adapter below.
-                    let iter = run.iter_range(min, max)?;
-                    sources.push(Box::new(CaptureErrors {
-                        inner: iter,
-                        sink: &error,
-                    }));
-                }
-            }
-        }
-        let apply_deletions = snaps.iter().any(|s| !s.deletions.is_empty());
-        let mut out = Vec::new();
-        let mut merge = KWayMerge::new(sources);
-        loop {
-            // Abort at the first captured error instead of draining the
-            // remaining sources into a result that will be thrown away.
-            if let Some(e) = error.take() {
-                return Err(e);
-            }
-            let Some(rec) = merge.next() else { break };
-            let deleted = apply_deletions && {
-                let pidx = self.config.partitioning.partition_of(rec.partition_key());
-                snaps[(pidx - first) as usize].deletions.contains(&rec)
-            };
-            if !deleted {
-                out.push(rec);
-            }
-        }
-        match error.take() {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        capture.into_records()
     }
 
     /// Creates a [`RunBuilder`] on this table's file store, with a Bloom
     /// filter sized for `expected_records`, for assembling a replacement run
     /// outside the table (the write stage of the streaming rebuild pipeline).
-    /// Install the finished run with
-    /// [`commit_rebuilt_partition`](Self::commit_rebuilt_partition).
+    /// Install the finished run with [`PartitionWriteGuard::commit_rebuild`].
     pub fn new_run_builder(&self, expected_records: usize) -> RunBuilder<R> {
         RunBuilder::with_capacity(self.files.clone(), &self.config.bloom, expected_records)
-    }
-
-    /// Atomically swaps the runs a rebuild consumed (`rebuilt_from`, the
-    /// snapshot the rebuild streamed) for `new_run` (build-then-swap). The
-    /// caller has already built `new_run` to completion — every page of it
-    /// is on the device — so this step performs no fallible writes: under
-    /// the partition's write lock it installs the new run list and drops the
-    /// deletion marks the rebuild consumed in-stream, then retires the
-    /// replaced runs. Readers holding a pre-swap [`PartitionSnapshot`] keep
-    /// streaming from the old runs (whose files survive until the last
-    /// snapshot drops); every snapshot taken after the swap sees only the
-    /// new run.
-    ///
-    /// State that arrived *after* the rebuild's snapshot survives the swap:
-    /// Level-0 runs appended by a racing consistency-point flush stay
-    /// installed (after `new_run`, preserving oldest-first order), and
-    /// deletion marks added by a racing relocation keep masking their
-    /// records — only the runs and marks the rebuild actually consumed are
-    /// replaced. A rebuild that failed before this point simply never calls
-    /// it, leaving the partition fully intact and queryable.
-    ///
-    /// Passing `None` empties the consumed runs (e.g. every record was
-    /// purged).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pidx` is out of range; debug-asserts that `new_run`'s keys
-    /// lie inside the partition.
-    pub fn commit_rebuilt_partition(
-        &self,
-        pidx: u32,
-        new_run: Option<Run<R>>,
-        rebuilt_from: &PartitionSnapshot<R>,
-    ) {
-        let (min, max) = self.config.partitioning.key_range(pidx);
-        if let Some(run) = &new_run {
-            debug_assert!(
-                run.min_key() >= min && run.max_key() <= max,
-                "rebuilt run keys [{}, {}] escape partition {pidx} [{min}, {max}]",
-                run.min_key(),
-                run.max_key(),
-            );
-        }
-        let mut fresh: Vec<Arc<Run<R>>> = new_run.into_iter().map(Arc::new).collect();
-        let mut retired: Vec<Arc<Run<R>>> = Vec::new();
-        {
-            let mut st = self.partitions[pidx as usize].write();
-            for run in st.runs.iter() {
-                if rebuilt_from.runs.iter().any(|old| Arc::ptr_eq(old, run)) {
-                    retired.push(run.clone());
-                } else {
-                    // Appended by a flush after the snapshot: keep it.
-                    fresh.push(run.clone());
-                }
-            }
-            st.deletions = if Arc::ptr_eq(&st.deletions, &rebuilt_from.deletions) {
-                Arc::new(DeletionVector::new())
-            } else {
-                // Marks added since the snapshot were not consumed by the
-                // rebuild; they must keep masking their records.
-                Arc::new(st.deletions.difference(&rebuilt_from.deletions))
-            };
-            st.runs = Arc::new(fresh);
-        }
-        // Retire outside the lock: when no reader holds a snapshot the files
-        // are deleted right here; otherwise the last snapshot drop deletes
-        // them.
-        for run in retired {
-            run.retire();
-        }
-    }
-
-    /// Streams partition `pidx`'s disk-resident records (deletion vector
-    /// applied in-stream) into a single replacement run and swaps it in.
-    /// This is the streaming replace primitive: peak memory is one output
-    /// page plus the merge cursors, independent of the partition size, and
-    /// the old runs are retired only after the replacement is fully on disk.
-    /// Queries proceed against the pre-rebuild snapshot throughout.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors. On error the partially built replacement is
-    /// deleted and the partition's old runs remain installed and queryable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pidx` is out of range.
-    pub fn compact_partition(&self, pidx: u32) -> Result<()> {
-        let snap = self.partition_snapshot(pidx);
-        let mut builder = self.new_run_builder(snap.disk_records() as usize);
-        let streamed: Result<()> = (|| {
-            for item in snap.iter_disk()? {
-                builder.push(&item?)?;
-            }
-            Ok(())
-        })();
-        if let Err(e) = streamed {
-            builder.abandon();
-            return Err(e);
-        }
-        let new_run = builder.finish_nonempty()?;
-        self.commit_rebuilt_partition(pidx, new_run, &snap);
-        Ok(())
-    }
-
-    /// Replaces all on-disk runs with a single run per partition built from
-    /// `records` (which must be sorted). The deletion vectors are cleared:
-    /// the caller is expected to have already applied them (e.g. via
-    /// [`scan_disk`](Self::scan_disk)).
-    ///
-    /// The swap is crash-safe (build-then-swap): every replacement run is
-    /// fully built before any old run is retired, and on error the partial
-    /// replacements are deleted, leaving the previous contents installed.
-    /// Old and replacement runs therefore coexist briefly — the device needs
-    /// transient headroom for one copy of `records` (per-partition rebuilds
-    /// via [`compact_partition`](Self::compact_partition) bound the headroom
-    /// to one partition instead of the whole table).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LsmError::UnsortedInput`](crate::LsmError::UnsortedInput) if
-    /// `records` is not sorted and propagates device errors.
-    pub fn replace_disk_contents(&mut self, records: &[R]) -> Result<MaintenanceStats> {
-        if !records.is_sorted() {
-            return Err(LsmError::UnsortedInput);
-        }
-        let before = self.stats();
-        let parts = self.config.partitioning;
-        // Build every replacement run first, touching nothing on error.
-        let new_runs: Vec<(usize, Run<R>)> = if parts.partition_count() == 1 {
-            match Run::build(&self.files, records, &self.config.bloom)? {
-                Some(run) => vec![(0, run)],
-                None => Vec::new(),
-            }
-        } else {
-            let mut buckets: Vec<Vec<R>> = (0..parts.partition_count() as usize)
-                .map(|_| Vec::new())
-                .collect();
-            for r in records {
-                buckets[parts.partition_of(r.partition_key()) as usize].push(r.clone());
-            }
-            let mut built = Vec::new();
-            for (idx, bucket) in buckets.into_iter().enumerate() {
-                match Run::build(&self.files, &bucket, &self.config.bloom) {
-                    Ok(Some(run)) => built.push((idx, run)),
-                    Ok(None) => {}
-                    Err(e) => {
-                        // Unwind: delete the replacements built so far; the
-                        // old runs were never touched.
-                        for (_, run) in built {
-                            let _ = run.delete();
-                        }
-                        return Err(e);
-                    }
-                }
-            }
-            built
-        };
-        // Swap: everything below performs no fallible device writes.
-        let mut records_after = 0u64;
-        let mut pages_after = 0u64;
-        let runs_after = new_runs.len() as u32;
-        let mut fresh: Vec<Vec<Arc<Run<R>>>> =
-            (0..self.partitions.len()).map(|_| Vec::new()).collect();
-        for (idx, run) in new_runs {
-            records_after += run.len();
-            pages_after += run.stats().total_pages;
-            fresh[idx].push(Arc::new(run));
-        }
-        let mut old: Vec<Arc<Vec<Arc<Run<R>>>>> = Vec::with_capacity(self.partitions.len());
-        for (part, fresh_runs) in self.partitions.iter().zip(fresh) {
-            let mut st = part.write();
-            st.deletions = Arc::new(DeletionVector::new());
-            old.push(std::mem::replace(&mut st.runs, Arc::new(fresh_runs)));
-        }
-        for list in &old {
-            for run in list.iter() {
-                run.retire();
-            }
-        }
-        Ok(MaintenanceStats {
-            runs_before: before.run_count,
-            runs_after,
-            records_before: before.disk_records,
-            records_after,
-            pages_after,
-        })
-    }
-
-    /// Merges all Level-0 runs into a single run per partition, dropping
-    /// deletion-vector records. This is the generic compaction primitive;
-    /// Backlog's full maintenance additionally joins `From` and `To` into
-    /// `Combined` while streaming through the same per-partition machinery.
-    ///
-    /// Each partition is rebuilt independently through
-    /// [`compact_partition`](Self::compact_partition), so peak memory is one
-    /// output page per partition rather than the whole table, and a device
-    /// fault leaves every partition either fully old or fully rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device errors.
-    pub fn compact(&self) -> Result<MaintenanceStats> {
-        let before = self.stats();
-        for pidx in 0..self.config.partitioning.partition_count() {
-            self.compact_partition(pidx)?;
-        }
-        let after = self.stats();
-        Ok(MaintenanceStats {
-            runs_before: before.run_count,
-            runs_after: after.run_count,
-            records_before: before.disk_records,
-            records_after: after.disk_records,
-            pages_after: after.disk_pages,
-        })
-    }
-
-    /// Rewrites the runs with deletion-vector records dropped (in-stream, via
-    /// the same per-partition streaming rebuild as [`compact`](Self::compact)).
-    /// The paper performs this "if the deletion vector becomes sufficiently
-    /// large".
-    pub fn rewrite_purging_deletions(&self) -> Result<MaintenanceStats> {
-        self.compact()
     }
 
     /// Point-in-time statistics.
@@ -1283,6 +1233,44 @@ mod tests {
         Ok(prep.commit())
     }
 
+    /// Rebuilds partition `pidx` from `snap` into one run through the guard
+    /// API, as maintenance does for each table: stream with no lock held,
+    /// then commit under the write guard. Returns whether the commit
+    /// installed the run (`false`: `snap` was stale).
+    fn rebuild_from(
+        t: &LsmTable<TestRec>,
+        pidx: u32,
+        snap: &PartitionSnapshot<TestRec>,
+    ) -> Result<bool> {
+        let mut builder = t.new_run_builder(snap.disk_records() as usize);
+        let streamed: Result<()> = (|| {
+            for item in snap.iter_disk()? {
+                builder.push(&item?)?;
+            }
+            Ok(())
+        })();
+        if let Err(e) = streamed {
+            builder.abandon();
+            return Err(e);
+        }
+        let run = builder.finish_nonempty()?;
+        Ok(t.write_partition(pidx).commit_rebuild(run, snap))
+    }
+
+    /// [`rebuild_from`] a fresh snapshot of partition `pidx`.
+    fn rebuild(t: &LsmTable<TestRec>, pidx: u32) -> Result<bool> {
+        let snap = t.read_partition(pidx).snapshot();
+        rebuild_from(t, pidx, &snap)
+    }
+
+    /// [`rebuild`]s every partition in turn.
+    fn rebuild_all(t: &LsmTable<TestRec>) -> Result<()> {
+        for pidx in 0..t.partition_count() {
+            rebuild(t, pidx)?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn query_sees_ws_and_runs() {
         let (_d, t) = table();
@@ -1328,11 +1316,9 @@ mod tests {
             t.flush_cp().unwrap();
         }
         let before = t.scan_all().unwrap();
-        let stats = t.compact().unwrap();
-        assert_eq!(stats.runs_before, 5);
-        assert_eq!(stats.runs_after, 1);
-        assert_eq!(stats.records_before, 250);
-        assert_eq!(stats.records_after, 250);
+        assert_eq!(t.run_count(), 5);
+        assert!(rebuild(&t, 0).unwrap());
+        assert_eq!(t.stats().disk_records, 250);
         assert_eq!(
             t.scan_all().unwrap(),
             before,
@@ -1370,8 +1356,8 @@ mod tests {
         assert_eq!(t.scan_all().unwrap().len(), 8);
         assert_eq!(t.stats().deleted_records, 2);
         assert_eq!(t.deleted_records(), 2);
-        let stats = t.rewrite_purging_deletions().unwrap();
-        assert_eq!(stats.records_after, 8);
+        rebuild_all(&t).unwrap();
+        assert_eq!(t.stats().disk_records, 8);
         assert_eq!(t.stats().deleted_records, 0);
         assert_eq!(t.scan_all().unwrap().len(), 8);
     }
@@ -1404,8 +1390,8 @@ mod tests {
         assert_eq!(t.run_count(), 4);
         assert_eq!(t.query_range(1_500, 1_509).unwrap().len(), 10);
         assert_eq!(t.scan_all().unwrap().len(), 4_000);
-        let m = t.compact().unwrap();
-        assert_eq!(m.runs_after, 4);
+        rebuild_all(&t).unwrap();
+        assert_eq!(t.run_count(), 4);
     }
 
     #[test]
@@ -1416,13 +1402,6 @@ mod tests {
         t.insert(TestRec::new(2, 2));
         assert_eq!(t.scan_disk().unwrap().len(), 1);
         assert_eq!(t.scan_all().unwrap().len(), 2);
-    }
-
-    #[test]
-    fn replace_disk_contents_rejects_unsorted() {
-        let (_d, mut t) = table();
-        let recs = vec![TestRec::new(5, 0), TestRec::new(1, 0)];
-        assert!(t.replace_disk_contents(&recs).is_err());
     }
 
     #[test]
@@ -1641,7 +1620,7 @@ mod tests {
         for fail_after in [0u64, 1, 3, 7] {
             disk.fail_writes_after(fail_after);
             assert!(
-                t.compact().is_err(),
+                rebuild(&t, 0).is_err(),
                 "fault at write {fail_after} must surface"
             );
             disk.clear_write_fault();
@@ -1657,9 +1636,9 @@ mod tests {
                 "partial replacement file must be deleted, not leaked"
             );
         }
-        // Once the device recovers, the same compaction succeeds.
-        let stats = t.compact().unwrap();
-        assert_eq!(stats.runs_after, 1);
+        // Once the device recovers, the same rebuild succeeds.
+        assert!(rebuild(&t, 0).unwrap());
+        assert_eq!(t.run_count(), 1);
         assert_eq!(t.scan_disk().unwrap(), before);
     }
 
@@ -1681,7 +1660,7 @@ mod tests {
         // Each partition must be either fully old or fully rebuilt, and the
         // union of contents unchanged.
         disk.fail_writes_after(8);
-        assert!(t.compact().is_err());
+        assert!(rebuild_all(&t).is_err());
         disk.clear_write_fault();
         assert_eq!(
             t.scan_disk().unwrap(),
@@ -1689,35 +1668,13 @@ mod tests {
             "no record lost or duplicated"
         );
         // Recovery completes the compaction.
-        let stats = t.compact().unwrap();
-        assert_eq!(stats.runs_after, 4);
+        rebuild_all(&t).unwrap();
+        assert_eq!(t.run_count(), 4);
         assert_eq!(t.scan_disk().unwrap(), before);
     }
 
     #[test]
-    fn replace_disk_contents_fault_keeps_previous_contents() {
-        let (disk, mut t) = table();
-        for i in 0..1_000u64 {
-            t.insert(TestRec::new(i, i));
-        }
-        t.flush_cp().unwrap();
-        let before = t.scan_disk().unwrap();
-        let replacement: Vec<TestRec> = (0..2_000u64).map(|i| TestRec::new(i, 0)).collect();
-        disk.fail_writes_after(2);
-        assert!(t.replace_disk_contents(&replacement).is_err());
-        disk.clear_write_fault();
-        assert_eq!(
-            t.scan_disk().unwrap(),
-            before,
-            "old contents remain installed after a failed replace"
-        );
-        // And the replace goes through once the device recovers.
-        t.replace_disk_contents(&replacement).unwrap();
-        assert_eq!(t.scan_disk().unwrap(), replacement);
-    }
-
-    #[test]
-    fn compact_partition_consumes_deletion_marks_in_stream() {
+    fn rebuild_consumes_deletion_marks_in_stream() {
         let disk = SimDisk::new_shared(DeviceConfig::free_latency());
         let files = Arc::new(FileStore::new(disk));
         let config =
@@ -1730,10 +1687,10 @@ mod tests {
         t.mark_deleted(TestRec::new(10, 0)); // partition 0
         t.mark_deleted(TestRec::new(1_500, 0)); // partition 1
                                                 // Rebuilding partition 0 drops its mark but must keep partition 1's.
-        t.compact_partition(0).unwrap();
+        assert!(rebuild(&t, 0).unwrap());
         assert_eq!(t.stats().deleted_records, 1, "other partition's mark kept");
         assert_eq!(t.scan_all().unwrap().len(), 1_998);
-        t.compact_partition(1).unwrap();
+        assert!(rebuild(&t, 1).unwrap());
         assert_eq!(t.stats().deleted_records, 0);
         assert_eq!(t.scan_all().unwrap().len(), 1_998);
     }
@@ -1748,7 +1705,7 @@ mod tests {
             t.flush_cp().unwrap();
         }
         t.mark_deleted(TestRec::new(0, 0));
-        let snap = t.partition_snapshot(0);
+        let snap = t.read_partition(0).snapshot();
         assert_eq!(snap.run_count(), 3);
         assert_eq!(snap.disk_records(), 300);
         assert_eq!(snap.key_range(), (0, u64::MAX));
@@ -1773,9 +1730,9 @@ mod tests {
         }
         let before = t.scan_disk().unwrap();
         let files_before = t.files().file_count();
-        let snap = t.partition_snapshot(0);
+        let snap = t.read_partition(0).snapshot();
         assert_eq!(snap.run_count(), 4);
-        t.compact_partition(0).unwrap();
+        assert!(rebuild(&t, 0).unwrap());
         assert_eq!(t.run_count(), 1, "table sees the rebuilt partition");
         // Old run files survive because the snapshot still references them.
         assert_eq!(t.files().file_count(), files_before + 1);
@@ -1829,9 +1786,7 @@ mod tests {
                 });
             }
             s.spawn(move || {
-                for pidx in 0..table.partition_count() {
-                    table.compact_partition(pidx).unwrap();
-                }
+                rebuild_all(table).unwrap();
                 done_ref.store(true, Ordering::Relaxed);
             });
         });
@@ -1921,19 +1876,13 @@ mod tests {
             t.insert(TestRec::new(i, 0));
         }
         t.flush_cp().unwrap();
-        let snap = t.partition_snapshot(0);
+        let snap = t.read_partition(0).snapshot();
         // Racing flush after the rebuild snapshot.
         for i in 100..150u64 {
             t.insert(TestRec::new(i, 0));
         }
         t.flush_cp().unwrap();
-        // Rebuild from the snapshot and commit.
-        let mut builder = t.new_run_builder(snap.disk_records() as usize);
-        for item in snap.iter_disk().unwrap() {
-            builder.push(&item.unwrap()).unwrap();
-        }
-        let new_run = builder.finish_nonempty().unwrap();
-        t.commit_rebuilt_partition(0, new_run, &snap);
+        assert!(rebuild_from(&t, 0, &snap).unwrap());
         assert_eq!(t.run_count(), 2, "racing flush's run survives the swap");
         assert_eq!(t.scan_disk().unwrap().len(), 150, "no record lost");
     }
@@ -1945,25 +1894,49 @@ mod tests {
             t.insert(TestRec::new(i, 0));
         }
         t.flush_cp().unwrap();
-        let snap = t.partition_snapshot(0);
+        let snap = t.read_partition(0).snapshot();
         // A relocation marks a record deleted while the rebuild streams; the
         // rebuild's output still contains the record (its snapshot predates
         // the mark), so the mark must survive the commit.
         t.mark_deleted(TestRec::new(3, 0));
-        let mut builder = t.new_run_builder(snap.disk_records() as usize);
-        for item in snap.iter_disk().unwrap() {
-            builder.push(&item.unwrap()).unwrap();
-        }
-        let new_run = builder.finish_nonempty().unwrap();
-        t.commit_rebuilt_partition(0, new_run, &snap);
+        assert!(rebuild_from(&t, 0, &snap).unwrap());
         assert_eq!(t.stats().deleted_records, 1, "racing mark survives");
         let disk = t.scan_disk().unwrap();
         assert_eq!(disk.len(), 9);
         assert!(!disk.contains(&TestRec::new(3, 0)));
         // The next rebuild consumes the mark in-stream and drops it.
-        t.compact_partition(0).unwrap();
+        assert!(rebuild(&t, 0).unwrap());
         assert_eq!(t.stats().deleted_records, 0);
         assert_eq!(t.scan_disk().unwrap().len(), 9);
+    }
+
+    #[test]
+    fn a_stale_rebuild_commit_is_refused_and_deletes_its_output() {
+        // Two rebuilds of one partition stream from the same snapshot; the
+        // one that commits second would install the records again beside
+        // the first one's run.
+        let (_d, t) = table();
+        for cp in 0..3u64 {
+            for i in 0..100u64 {
+                t.insert(TestRec::new(i * 3 + cp, cp));
+            }
+            t.flush_cp().unwrap();
+        }
+        let snap = t.read_partition(0).snapshot();
+        assert!(t.write_partition(0).holds(&snap));
+        assert!(rebuild(&t, 0).unwrap(), "the competing rebuild commits");
+        assert!(!t.write_partition(0).holds(&snap));
+        let installed = t.read_partition(0).snapshot();
+        let contents = t.scan_disk().unwrap();
+        let files = t.files().file_count();
+        assert!(!rebuild_from(&t, 0, &snap).unwrap(), "reported stale");
+        assert!(
+            t.read_partition(0).snapshot().same_runs(&installed),
+            "partition unchanged"
+        );
+        assert_eq!(t.scan_disk().unwrap(), contents);
+        assert_eq!(contents.len(), 300, "no record installed twice");
+        assert_eq!(t.files().file_count(), files, "stale output deleted");
     }
 
     #[test]
@@ -1984,7 +1957,7 @@ mod tests {
         // rebuild snapshot would capture — is still empty.
         assert_eq!(t.scan_all().unwrap(), vec![TestRec::new(2, 0)]);
         assert_eq!(t.stats().deleted_records, 0, "mark deferred, not in the DV");
-        assert_eq!(t.partition_snapshot(0).deletions().len(), 0);
+        assert_eq!(t.read_partition(0).snapshot().deletions().len(), 0);
         // The flush commit hands the deferred mark back to be applied in
         // the same critical section that installs the run.
         let deferred = t.ws_shard(0).commit_flush();
@@ -2076,8 +2049,9 @@ mod tests {
         let reads_before = disk.stats().snapshot().page_reads;
         // Capture the manifest and reopen on the same file store (the files
         // are still live, as they would be after FileStore::restore).
-        let parts: Vec<PartitionManifest<TestRec>> =
-            (0..4).map(|p| t.partition_snapshot(p).manifest()).collect();
+        let parts: Vec<PartitionManifest<TestRec>> = (0..4)
+            .map(|p| t.read_partition(p).snapshot().manifest())
+            .collect();
         drop(t);
         let reopened = LsmTable::open_from_manifest(files, mk_config(), parts).unwrap();
         assert_eq!(
@@ -2112,8 +2086,9 @@ mod tests {
             t.insert(TestRec::new(i, 0));
         }
         t.flush_cp().unwrap();
-        let parts: Vec<PartitionManifest<TestRec>> =
-            (0..2).map(|p| t.partition_snapshot(p).manifest()).collect();
+        let parts: Vec<PartitionManifest<TestRec>> = (0..2)
+            .map(|p| t.read_partition(p).snapshot().manifest())
+            .collect();
         // Wrong partition count.
         let r = LsmTable::open_from_manifest(files.clone(), config.clone(), parts[..1].to_vec());
         assert!(matches!(r, Err(LsmError::CorruptRun { .. })));
@@ -2158,7 +2133,7 @@ mod tests {
             t.flush_cp().unwrap();
         }
         let leaves: u64 = (0..t.partition_count())
-            .flat_map(|p| t.partition_snapshot(p).runs().to_vec())
+            .flat_map(|p| t.read_partition(p).snapshot().runs().to_vec())
             .map(|run| run.stats().leaf_pages)
             .sum();
         let s = t.stats();

@@ -10,8 +10,8 @@
 //! the race window still exists but the iteration counts are low.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 
 use backlog::{
     BackRef, BacklogConfig, BacklogEngine, LineId, MaintenancePlan, MaintenanceReport, Owner,
@@ -77,84 +77,176 @@ fn baseline(e: &BacklogEngine) -> BTreeMap<u64, Vec<BackRef>> {
         .collect()
 }
 
-/// Readers hammer point and range queries while a full maintenance pass
-/// rebuilds all partitions on four workers; every result must equal the
-/// baseline.
+/// Readers hammer point and range queries, with no pause, while
+/// single-partition rebuilds commit one after another; every result must
+/// equal the baseline. Each round first closes and reopens a reference on
+/// every sampled block (remove, CP, re-add, CP), so every rebuild moves
+/// records out of `To`: a query that captured a partition's `From` before a
+/// rebuild commit and its `To` after it would join the old `From` record
+/// with nothing and report a live reference that is not there.
 #[test]
 fn racing_readers_always_see_consistent_state() {
+    let rounds = if cfg!(debug_assertions) { 6 } else { 300 };
     let (_disk, e) = populated_engine();
-    let expected = baseline(&e);
     assert!(e.run_count() > PARTITIONS, "rebuild must have work to do");
+    let parts = e.config().partitioning;
+    let sampled: Vec<u64> = baseline(&e).into_keys().collect();
+    let owner = |b: u64| Owner::block(99, b, LineId::ROOT);
+    for &b in &sampled {
+        e.add_reference(b, owner(b));
+    }
+    e.consistency_point().unwrap();
 
-    let rebuilt = AtomicBool::new(false);
-    let queries_run = AtomicU64::new(0);
-    std::thread::scope(|s| {
-        let engine = &e;
-        let expected = &expected;
-        let rebuilt = &rebuilt;
-        let queries_run = &queries_run;
-        // Two point-query readers with different strides plus one
-        // range-query reader, all racing the rebuild.
-        for r in 0..2u64 {
-            s.spawn(move || {
-                let mut i = r * 7;
-                loop {
-                    let done = rebuilt.load(Ordering::Acquire);
-                    let block = (i * 13) % BLOCKS;
-                    if let Some(want) = expected.get(&block) {
+    let mut queries_run = 0u64;
+    let mut purged = 0u64;
+    for round in 0..rounds {
+        for &b in &sampled {
+            e.remove_reference(b, owner(b));
+        }
+        e.consistency_point().unwrap();
+        for &b in &sampled {
+            e.add_reference(b, owner(b));
+        }
+        e.consistency_point().unwrap();
+        let expected = baseline(&e);
+        let mut by_partition = vec![Vec::new(); PARTITIONS as usize];
+        for (&block, want) in &expected {
+            by_partition[parts.partition_of(block) as usize].push((block, want));
+        }
+
+        // The partition being rebuilt: readers query only its blocks.
+        let current = AtomicU32::new(0);
+        let rebuilt = AtomicBool::new(false);
+        let queries = AtomicU64::new(0);
+        purged += std::thread::scope(|s| {
+            let (engine, expected, by_partition, current, rebuilt, queries) =
+                (&e, &expected, &by_partition, &current, &rebuilt, &queries);
+            for r in 0..2usize {
+                s.spawn(move || {
+                    let mut i = r;
+                    loop {
+                        let done = rebuilt.load(Ordering::Acquire);
+                        let blocks = &by_partition[current.load(Ordering::Acquire) as usize];
+                        let (block, want) = blocks[i % blocks.len()];
                         let got = engine.query_block(block).unwrap().refs;
-                        assert_eq!(
-                            &got, want,
-                            "block {block} diverged during in-flight rebuild"
-                        );
-                        queries_run.fetch_add(1, Ordering::Relaxed);
+                        assert_eq!(&got, want, "round {round}: block {block} diverged");
+                        queries.fetch_add(1, Ordering::Relaxed);
+                        i += 1;
+                        // Drain a final iteration after the rebuild finishes
+                        // so the post-rebuild state is asserted too.
+                        if done {
+                            break;
+                        }
                     }
-                    i += 1;
-                    // Drain a final iteration after the rebuild finishes so
-                    // the post-rebuild state is asserted too.
-                    if done {
-                        break;
-                    }
-                    // Let the rebuild make progress on small machines; the
-                    // queries still overlap it for its whole duration.
-                    std::thread::sleep(std::time::Duration::from_micros(500));
+                });
+            }
+            // A range query over the whole partition being rebuilt.
+            s.spawn(move || loop {
+                let done = rebuilt.load(Ordering::Acquire);
+                let (lo, hi) = parts.key_range(current.load(Ordering::Acquire));
+                let refs = engine.query_range(lo, hi).unwrap().refs;
+                for (&block, want) in expected.range(lo..=hi) {
+                    let got: Vec<&BackRef> = refs.iter().filter(|r| r.block == block).collect();
+                    let want: Vec<&BackRef> = want.iter().collect();
+                    assert_eq!(
+                        got, want,
+                        "round {round}: range query tore at block {block}"
+                    );
+                }
+                queries.fetch_add(1, Ordering::Relaxed);
+                if done {
+                    break;
                 }
             });
-        }
-        s.spawn(move || loop {
-            let done = rebuilt.load(Ordering::Acquire);
-            // A range query spanning several partitions: the per-partition
-            // guards must hand it an un-torn multi-partition view.
-            let refs = engine.query_range(1_000, 1_030).unwrap().refs;
-            for want in expected
-                .iter()
-                .filter(|(b, _)| (1_000..=1_030).contains(*b))
-            {
-                let got: Vec<&BackRef> = refs.iter().filter(|r| r.block == *want.0).collect();
-                let want_refs: Vec<&BackRef> = want.1.iter().collect();
-                assert_eq!(got, want_refs, "range query tore at block {}", want.0);
-            }
-            queries_run.fetch_add(1, Ordering::Relaxed);
-            if done {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(500));
+            let rebuilder = s.spawn(move || {
+                let _release_readers = SetOnDrop(rebuilt);
+                let mut purged = 0;
+                for p in 0..PARTITIONS {
+                    current.store(p, Ordering::Release);
+                    let report = engine.maintain(MaintenancePlan::partition(p)).unwrap();
+                    purged += report.map_or(0, |r| r.purged_records);
+                }
+                purged
+            });
+            rebuilder.join().unwrap()
         });
-        s.spawn(move || {
-            let _release_readers = SetOnDrop(rebuilt);
-            let report = maintain_full(engine, 4).unwrap();
-            assert!(report.purged_records > 0, "rebuild purged dead references");
-        });
-    });
-
+        queries_run += queries.into_inner();
+        // Post-rebuild: compacted to at most one run per table per
+        // partition, same answers.
+        assert!(e.run_count() <= 2 * PARTITIONS);
+        assert_eq!(baseline(&e), expected, "round {round}");
+    }
+    assert!(purged > 0, "rebuilds purged the closed intervals");
     assert!(
-        queries_run.load(Ordering::Relaxed) > 0,
-        "readers must have completed queries during the rebuild"
+        queries_run > 0,
+        "readers must have completed queries during the rebuilds"
     );
-    // Post-rebuild: compacted to at most one run per table per partition,
-    // same answers.
-    assert!(e.run_count() <= 2 * PARTITIONS);
-    assert_eq!(baseline(&e), expected);
+}
+
+/// Two threads start together on a barrier and rebuild the same partition,
+/// round after round, with fresh CP runs added to it between rounds. Both
+/// passes may snapshot the same runs; the commit lets only the first
+/// install its output — the second finds its snapshot's runs gone and
+/// deletes its own. Queries must stay on the baseline, and no table may
+/// ever hold a record twice.
+#[test]
+fn racing_passes_over_one_partition_commit_once() {
+    const P: u32 = 5;
+    let rounds = if cfg!(debug_assertions) { 20 } else { 200 };
+    let (_disk, e) = populated_engine();
+    // The CPs between rounds move `live_versions` of live references;
+    // compare the identity and interval fields, which a duplicated or lost
+    // record would change.
+    let stable = |e: &BacklogEngine| -> Vec<_> {
+        baseline(e)
+            .into_values()
+            .flatten()
+            .map(|r| (r.block, r.inode, r.offset, r.length, r.line, r.from, r.to))
+            .collect()
+    };
+    let expected = stable(&e);
+    let (lo, hi) = e.config().partitioning.key_range(P);
+    // Blocks the baseline does not sample, so its answers never move.
+    let fresh: Vec<u64> = (lo..=hi).filter(|b| b % 37 != 0).step_by(10).collect();
+    let start = Barrier::new(2);
+    let mut stale = 0;
+    for round in 0..rounds {
+        for &b in &fresh {
+            e.add_reference(b, Owner::block(1_000 + round, b, LineId::ROOT));
+        }
+        e.consistency_point().unwrap();
+        let reports: Vec<MaintenanceReport> = std::thread::scope(|s| {
+            let passes: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        e.maintain(MaintenancePlan::partition(P)).unwrap().unwrap()
+                    })
+                })
+                .collect();
+            passes.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        stale += reports.iter().filter(|r| r.partitions == 0).count();
+        assert_eq!(stable(&e), expected, "round {round}");
+        let from = e.from_table().scan_disk().unwrap();
+        let combined = e.combined_table().scan_disk().unwrap();
+        assert!(
+            from.windows(2).all(|w| w[0] != w[1]),
+            "round {round}: a From record installed twice"
+        );
+        assert!(
+            combined.windows(2).all(|w| w[0] != w[1]),
+            "round {round}: a Combined record installed twice"
+        );
+        assert_eq!(
+            from.iter().filter(|r| r.identity.inode >= 1_000).count(),
+            fresh.len() * (round as usize + 1),
+            "round {round}"
+        );
+    }
+    // Not asserted non-zero: whether the two passes overlap is up to the
+    // scheduler. In release they do, in most rounds.
+    eprintln!("stale passes: {stale} in {rounds} rounds");
 }
 
 /// Serial maintenance on one thread races readers on others — the same

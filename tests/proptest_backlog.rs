@@ -233,60 +233,56 @@ proptest! {
         prop_assert_eq!(streaming, oracle);
     }
 
-    /// Full-engine differential: after the same workload, the streaming
-    /// maintenance pass and the materialized reference pass leave identical
-    /// tables on disk.
+    /// Full-engine oracle check: before every maintenance pass, the
+    /// materialized reference join/purge runs over the disk state the pass
+    /// will read; afterwards `From`, `To` and `Combined` hold exactly its
+    /// incomplete records, nothing, and its complete records, and the
+    /// report's counts are the oracle's.
     #[test]
     fn engine_maintenance_matches_reference_pass(
         steps in proptest::collection::vec(step_strategy(), 1..80),
         partitions in 1u32..5,
     ) {
-        let config = BacklogConfig::partitioned(partitions, 40).without_timing();
-        let streaming = BacklogEngine::new_simulated(config.clone());
-        let mut materialized = BacklogEngine::new_simulated(config);
+        let engine = BacklogEngine::new_simulated(
+            BacklogConfig::partitioned(partitions, 40).without_timing(),
+        );
+        let maintain_against_oracle = || {
+            let oracle = maintenance::reference::join_and_purge(
+                &engine.from_table().scan_disk().unwrap(),
+                &engine.to_table().scan_disk().unwrap(),
+                &engine.combined_table().scan_disk().unwrap(),
+                &engine.lineage_snapshot(),
+            );
+            let report = engine.maintenance().unwrap();
+            prop_assert_eq!(engine.from_table().scan_disk().unwrap(), oracle.incomplete_from);
+            prop_assert_eq!(engine.to_table().scan_disk().unwrap(), Vec::new());
+            prop_assert_eq!(engine.combined_table().scan_disk().unwrap(), oracle.combined);
+            prop_assert_eq!(
+                (report.combined_records, report.incomplete_records, report.purged_records),
+                (oracle.combined.len() as u64, oracle.incomplete_from.len() as u64, oracle.purged)
+            );
+        };
         let mut owned: BTreeSet<(u64, u64, u64)> = BTreeSet::new();
         for step in &steps {
             match *step {
                 Step::Add { block, inode, offset } => {
                     if owned.insert((block, inode, offset)) {
-                        let owner = Owner::block(inode, offset, LineId::ROOT);
-                        streaming.add_reference(block, owner);
-                        materialized.add_reference(block, owner);
+                        engine.add_reference(block, Owner::block(inode, offset, LineId::ROOT));
                     }
                 }
                 Step::Remove { block, inode, offset } => {
                     if owned.remove(&(block, inode, offset)) {
-                        let owner = Owner::block(inode, offset, LineId::ROOT);
-                        streaming.remove_reference(block, owner);
-                        materialized.remove_reference(block, owner);
+                        engine.remove_reference(block, Owner::block(inode, offset, LineId::ROOT));
                     }
                 }
                 Step::ConsistencyPoint => {
-                    streaming.consistency_point().unwrap();
-                    materialized.consistency_point().unwrap();
+                    engine.consistency_point().unwrap();
                 }
-                Step::Maintenance => {
-                    streaming.maintenance().unwrap();
-                    materialized.maintenance_reference().unwrap();
-                }
+                Step::Maintenance => maintain_against_oracle(),
             }
         }
-        streaming.consistency_point().unwrap();
-        materialized.consistency_point().unwrap();
-        streaming.maintenance().unwrap();
-        materialized.maintenance_reference().unwrap();
-        prop_assert_eq!(
-            streaming.from_table().scan_disk().unwrap(),
-            materialized.from_table().scan_disk().unwrap()
-        );
-        prop_assert_eq!(
-            streaming.to_table().scan_disk().unwrap(),
-            materialized.to_table().scan_disk().unwrap()
-        );
-        prop_assert_eq!(
-            streaming.combined_table().scan_disk().unwrap(),
-            materialized.combined_table().scan_disk().unwrap()
-        );
+        engine.consistency_point().unwrap();
+        maintain_against_oracle();
     }
 
     /// Maintenance-plan differential: however a plan fans the per-partition
