@@ -86,6 +86,7 @@ fn inheritance_input(
 struct Rec(u64, u64);
 impl Record for Rec {
     const ENCODED_LEN: usize = 16;
+    const COLUMNS: &'static [usize] = &[8, 8];
     fn encode(&self, buf: &mut [u8]) {
         buf[..8].copy_from_slice(&self.0.to_be_bytes());
         buf[8..16].copy_from_slice(&self.1.to_be_bytes());

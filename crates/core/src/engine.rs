@@ -2271,7 +2271,8 @@ mod tests {
         let disk = SimDisk::new_shared(DeviceConfig::free_latency());
         let files = Arc::new(FileStore::new(disk.clone()));
         let e = BacklogEngine::new(files, BacklogConfig::default());
-        for i in 0..500u64 {
+        // Several leaves of delta-coded `From` records.
+        for i in 0..5_000u64 {
             e.add_reference(i, Owner::block(1, i, LineId::ROOT));
         }
         // Let a handful of pages through so the failure lands mid-flush.
@@ -2287,9 +2288,9 @@ mod tests {
         // After the device recovers, a retry flushes everything.
         disk.clear_write_fault();
         let report = e.consistency_point().unwrap();
-        assert_eq!(report.records_flushed, 500);
+        assert_eq!(report.records_flushed, 5_000);
         assert_eq!(e.current_cp(), 2);
-        for block in [0u64, 250, 499] {
+        for block in [0u64, 2_500, 4_999] {
             assert_eq!(e.query_block(block).unwrap().refs.len(), 1, "block {block}");
         }
     }
@@ -2372,8 +2373,9 @@ mod tests {
         let disk = SimDisk::new_shared(DeviceConfig::free_latency());
         let files = Arc::new(FileStore::new(disk.clone()));
         let mut e = BacklogEngine::new(files, BacklogConfig::default());
-        populate(&mut e, 200);
-        let baseline = all_query_results(&mut e, 200);
+        // Enough blocks that the rebuilt tables span several leaves.
+        populate(&mut e, 1_000);
+        let baseline = all_query_results(&mut e, 1_000);
         let from_before = e.from_table().scan_disk().unwrap();
         let to_before = e.to_table().scan_disk().unwrap();
         let combined_before = e.combined_table().scan_disk().unwrap();
@@ -2397,7 +2399,7 @@ mod tests {
             assert_eq!(e.to_table().scan_disk().unwrap(), to_before);
             assert_eq!(e.combined_table().scan_disk().unwrap(), combined_before);
             assert_eq!(
-                all_query_results(&mut e, 200),
+                all_query_results(&mut e, 1_000),
                 baseline,
                 "query results changed after fault at write {fail_after}"
             );
@@ -2408,7 +2410,7 @@ mod tests {
             "rebuild performed only {fail_after} writes"
         );
         // The pass that finally completed preserves results.
-        assert_eq!(all_query_results(&mut e, 200), baseline);
+        assert_eq!(all_query_results(&mut e, 1_000), baseline);
     }
 
     #[test]

@@ -98,10 +98,11 @@ use crate::record::{CombinedRecord, FromRecord, ToRecord};
 use crate::stats::BacklogStats;
 
 const MAGIC: &[u8; 8] = b"BKLGMANI";
-/// 4: the payload carries the journal frontier, which replay trusts instead
-/// of looking entries up; a version 3 frame has none, and its device's ring
-/// was truncated by another rule. 3 introduced the flat fence section.
-const VERSION: u32 = 4;
+/// 5: run leaves are delta-coded with restart points (leaf page kind 4); a
+/// version 4 device's runs hold fixed-width leaves no reader decodes.
+/// 4 put the journal frontier in the payload, which replay trusts instead
+/// of looking entries up. 3 introduced the flat fence section.
+const VERSION: u32 = 5;
 /// magic(8) + version(4) + checksum(8) + kind(4) + generation(8) +
 /// payload_len(8).
 const HEADER_LEN: usize = 8 + 4 + 8 + 4 + 8 + 8;

@@ -1,10 +1,14 @@
 //! On-disk record formats for the `From`, `To` and `Combined` tables.
 //!
 //! All fields are fixed-width big-endian integers so that byte-wise ordering
-//! of the encoded form matches the record's `Ord` (a property the LSM run
-//! format does not require but which keeps dumps easy to read). The sizes
-//! match the paper's btrfs port: `From` and `To` tuples are 40 bytes,
-//! `Combined` tuples are 48 bytes.
+//! of the encoded form matches the record's `Ord`. The sizes match the
+//! paper's btrfs port: `From` and `To` tuples are 40 bytes, `Combined`
+//! tuples are 48 bytes. This fixed form is what journal entries and the
+//! manifest's deletion marks carry, and what `disk_record_bytes` (the
+//! paper's space figures) counts. Run leaves delta-code it column by column (see
+//! [`lsm::Run`]): because the byte order matches `Ord`, neighbours in a
+//! sorted run share their leading columns, and a leaf holds about six times
+//! as many records as the fixed form would fit.
 
 use lsm::Record;
 
@@ -52,6 +56,10 @@ impl RefIdentity {
         }
     }
 }
+
+/// The columns of a `From` or `To` record: block, inode, offset, line,
+/// length and the CP number.
+const IDENTITY_AND_CP: &[usize] = &[8, 8, 8, 4, 4, 8];
 
 fn put_u64(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_be_bytes());
@@ -109,6 +117,7 @@ impl FromRecord {
 
 impl Record for FromRecord {
     const ENCODED_LEN: usize = 40;
+    const COLUMNS: &'static [usize] = IDENTITY_AND_CP;
 
     fn encode(&self, buf: &mut [u8]) {
         encode_identity(&self.identity, buf);
@@ -146,6 +155,7 @@ impl ToRecord {
 
 impl Record for ToRecord {
     const ENCODED_LEN: usize = 40;
+    const COLUMNS: &'static [usize] = IDENTITY_AND_CP;
 
     fn encode(&self, buf: &mut [u8]) {
         encode_identity(&self.identity, buf);
@@ -216,6 +226,7 @@ impl CombinedRecord {
 
 impl Record for CombinedRecord {
     const ENCODED_LEN: usize = 48;
+    const COLUMNS: &'static [usize] = &[8, 8, 8, 4, 4, 8, 8];
 
     fn encode(&self, buf: &mut [u8]) {
         encode_identity(&self.identity, buf);

@@ -19,11 +19,6 @@ pub enum LsmError {
     },
     /// Records handed to a bulk loader were not sorted.
     UnsortedInput,
-    /// A record type declared an encoded length that cannot fit in a page.
-    RecordTooLarge {
-        /// The declared encoded length.
-        encoded_len: usize,
-    },
 }
 
 impl fmt::Display for LsmError {
@@ -32,12 +27,6 @@ impl fmt::Display for LsmError {
             LsmError::Device(e) => write!(f, "device error: {e}"),
             LsmError::CorruptRun { detail } => write!(f, "corrupt run file: {detail}"),
             LsmError::UnsortedInput => write!(f, "bulk-load input records were not sorted"),
-            LsmError::RecordTooLarge { encoded_len } => {
-                write!(
-                    f,
-                    "record encoded length {encoded_len} exceeds a device page"
-                )
-            }
         }
     }
 }
@@ -72,9 +61,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert!(LsmError::UnsortedInput.to_string().contains("not sorted"));
-        assert!(LsmError::RecordTooLarge { encoded_len: 9000 }
-            .to_string()
-            .contains("9000"));
         assert!(LsmError::CorruptRun {
             detail: "bad".into()
         }

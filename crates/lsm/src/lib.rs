@@ -6,10 +6,12 @@
 //!
 //! * [`WriteStore`] — the in-memory balanced tree (*WS*, the LSM-tree's C0
 //!   component) in which updates accumulate between consistency points.
-//! * [`Run`] — an on-disk read store (*RS*) run: densely packed sorted leaf
-//!   pages followed by one flat section of fence keys (each leaf's first
-//!   key). Writing a run performs no disk reads; the fence keys stay
-//!   resident, so a lookup reads exactly the one leaf that can hold its key.
+//! * [`Run`] — an on-disk read store (*RS*) run: sorted leaf pages whose
+//!   records are delta-coded against their predecessors (a whole record at a
+//!   restart point every 16), followed by one flat section of fence keys
+//!   (each leaf's first key). Writing a run performs no disk reads; the
+//!   fence keys stay resident, so a lookup reads exactly the one leaf that
+//!   can hold its key.
 //! * [`BloomFilter`] — a 4-hash-function filter per run so queries skip runs
 //!   that cannot contain a block, with support for halving the filter when a
 //!   run holds fewer records than the default sizing assumes.
@@ -43,6 +45,7 @@
 //!
 //! impl Record for Pair {
 //!     const ENCODED_LEN: usize = 16;
+//!     const COLUMNS: &'static [usize] = &[8, 8];
 //!     fn encode(&self, buf: &mut [u8]) {
 //!         buf[..8].copy_from_slice(&self.0.to_be_bytes());
 //!         buf[8..16].copy_from_slice(&self.1.to_be_bytes());

@@ -10,11 +10,27 @@
 ///   and `decode(encode(r)) == r` must hold for every record.
 /// * The `Ord` implementation must order records by `partition_key()` first;
 ///   range queries and horizontal partitioning rely on this.
-/// * `ENCODED_LEN` must be greater than zero and no larger than a device page
-///   minus the leaf-page header (checked when a table is created).
+/// * [`COLUMNS`](Record::COLUMNS) must split the encoded form into at most
+///   8 big-endian unsigned columns of 1 to 8 bytes each, summing to
+///   `ENCODED_LEN` (checked at compile time when a run builder is
+///   instantiated for the type).
+///
+/// # How runs store records
+///
+/// A run leaf delta-codes each record against its predecessor, column by
+/// column: a flags byte names the columns that changed, followed by one
+/// varint per changed column, the first carrying its growth and the rest
+/// their raw values. Every 16th record is stored whole. The coding is exact
+/// for any encoding; it is compact when the encoding's byte order matches
+/// `Ord` (as with fixed-width big-endian fields in sort order), because then
+/// neighbours in a sorted run share their leading columns and the first
+/// column that changes grows.
 pub trait Record: Clone + Ord + Send + Sync + 'static {
     /// Exact size of the encoded form in bytes.
     const ENCODED_LEN: usize;
+
+    /// Widths in bytes of the encoded form's big-endian columns, in order.
+    const COLUMNS: &'static [usize];
 
     /// Serializes the record into `buf`, which is exactly
     /// [`ENCODED_LEN`](Record::ENCODED_LEN) bytes long.
@@ -56,6 +72,7 @@ pub(crate) mod test_support {
 
     impl Record for TestRec {
         const ENCODED_LEN: usize = 16;
+        const COLUMNS: &'static [usize] = &[8, 8];
 
         fn encode(&self, buf: &mut [u8]) {
             buf[..8].copy_from_slice(&self.key.to_be_bytes());

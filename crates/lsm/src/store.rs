@@ -1358,10 +1358,12 @@ mod tests {
         let config =
             TableConfig::named("parted").with_partitioning(Partitioning::fixed_ranges(4, 1_000));
         let t = LsmTable::new(files, config);
+        // Every payload differs from its predecessor's and codes as a 10-byte
+        // varint, so 329 records fill a leaf.
         for i in 0..4_000u64 {
-            t.insert(TestRec::new(i, 0));
+            t.insert(TestRec::new(i, !i));
         }
-        // Partition 0 holds 1000 16-byte records: 4 leaves + 1 root = 5
+        // Partition 0 holds 1000 records: 4 leaves + 1 fence page = 5
         // pages. Let those through, then fail partition 1 mid-build: even
         // the partition whose run was fully built must NOT be installed —
         // a half-committed flush would strand records in runs where
@@ -1528,8 +1530,10 @@ mod tests {
     #[test]
     fn compact_fault_leaves_old_runs_intact() {
         let (disk, t) = table();
+        // 10,000 records coded 3 bytes apiece: the merged run is ten leaves
+        // and a fence page, so every listed write is one of the rebuild's.
         for cp in 0..5u64 {
-            for i in 0..500u64 {
+            for i in 0..2_000u64 {
                 t.insert(TestRec::new(i * 5 + cp, cp));
             }
             t.flush_cp().unwrap();
@@ -1719,14 +1723,15 @@ mod tests {
     #[test]
     fn narrow_queries_do_not_materialize_full_run_scans() {
         let (disk, t) = table();
-        // One large run: 50k 16-byte records = ~197 leaves + index pages.
-        for i in 0..50_000u64 {
-            t.insert(TestRec::new(i, i));
+        // One large run: 65k records whose 10-byte-varint payloads fill a
+        // leaf at 329 = 198 leaves + a fence page.
+        for i in 0..65_000u64 {
+            t.insert(TestRec::new(i, !i));
         }
         t.flush_cp().unwrap();
         let full_scan_pages = {
             let before = disk.stats().snapshot().page_reads;
-            assert_eq!(t.scan_all().unwrap().len(), 50_000);
+            assert_eq!(t.scan_all().unwrap().len(), 65_000);
             disk.stats().snapshot().page_reads - before
         };
         let narrow_pages = {
@@ -2020,7 +2025,10 @@ mod tests {
         assert!(s.disk_pages > 0);
         assert_eq!(s.disk_record_bytes, 1000 * 16);
         assert!(s.bloom_bytes > 0);
-        assert!(t.disk_bytes() >= s.disk_record_bytes);
+        // Delta-coded, the 16 000 logical bytes fill two leaves (859 records
+        // and 141) and a fence page.
+        assert_eq!(s.disk_pages, 3);
+        assert!(t.disk_bytes() < s.disk_record_bytes);
     }
 
     #[test]
@@ -2037,7 +2045,9 @@ mod tests {
             .map(|run| run.stats().leaf_pages)
             .sum();
         let s = t.stats();
-        assert_eq!(leaves, 3 * 40);
+        // A 10,000-record run is a first leaf of 859 records (whose first
+        // 128 payloads code in one byte) and 11 leaves of up to 833.
+        assert_eq!(leaves, 3 * 12);
         assert_eq!(s.index_bytes, 8 * leaves);
         assert!(
             s.index_bytes * 8 <= s.bloom_bytes,

@@ -223,8 +223,10 @@ fn maintenance_fault_mid_workload_keeps_database_consistent() {
             .with_snapshots(SnapshotPolicy::paper_default(4))
             .with_seed(23),
     );
+    // Enough operations that the rebuild writes over a dozen delta-coded
+    // leaf and fence pages, so every fault point below lands mid-pass.
     let mut cfg = SyntheticConfig::small();
-    cfg.ops_per_cp = 300;
+    cfg.ops_per_cp = 5_000;
     let mut workload = SyntheticWorkload::new(cfg);
     workload
         .run(&mut fs, 8, |_, _| {})

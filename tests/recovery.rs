@@ -1529,7 +1529,7 @@ fn forged_journal_frontier_is_rejected_or_harmless() {
     assert!(sb.manifest_len_bytes <= 4_096, "one-page base frame");
     let good = device.read_page(log_page).unwrap();
     let (version_at, len_at, count_at) = (8, 32, 40 + 12 + 80);
-    assert_eq!(&good[version_at..version_at + 4], &4u32.to_be_bytes());
+    assert_eq!(&good[version_at..version_at + 4], &5u32.to_be_bytes());
     assert_eq!(&good[count_at..count_at + 4], &4u32.to_be_bytes());
     assert_eq!(
         &good[count_at + 4..count_at + 36],
@@ -1558,7 +1558,7 @@ fn forged_journal_frontier_is_rejected_or_harmless() {
         ("count u32::MAX", vec![(count_at, &[0xff; 4])]),
         ("cut short by payload_len", vec![(len_at, &cut_short)]),
         ("frontier u64::MAX", vec![(count_at + 4 + 8, &huge)]),
-        ("previous format version", vec![(version_at, &[0, 0, 0, 3])]),
+        ("previous format version", vec![(version_at, &[0, 0, 0, 4])]),
     ];
     for (what, patches) in &rejected {
         let err = forge(patches).unwrap_err();
@@ -1588,6 +1588,45 @@ fn forged_journal_frontier_is_rejected_or_harmless() {
     let reopened = forge(&[]).unwrap();
     let rec = reopened.replay_recovered_journal().unwrap();
     assert_eq!((rec.recovered, rec.applied, rec.last_lsn), (50, 50, 50));
+}
+
+/// A device written by the version 4 format — fixed-width run leaves — is
+/// refused at `open` with `Recovery`, not read as delta-coded leaves: every
+/// manifest frame of its log names version 4.
+#[test]
+fn version_4_device_is_refused_at_open() {
+    let device = disk();
+    let engine = BacklogEngine::create_durable(device.clone(), config()).unwrap();
+    for block in 0..2_000u64 {
+        engine.add_reference(block * 7, owner(1, block));
+    }
+    engine.consistency_point().unwrap();
+    assert!(engine.run_count() > 0);
+    drop(engine);
+    BacklogEngine::open(device.clone(), config()).expect("the genuine device opens");
+
+    // Frames start on page boundaries: rewrite the version of each one in
+    // the log's valid prefix (the version is not covered by the checksum).
+    let sb = Superblock::read_latest(&*device).unwrap().unwrap();
+    let pages = sb.manifest_len_bytes.div_ceil(blockdev::PAGE_SIZE as u64);
+    let mut frames = 0;
+    let log_pages = sb
+        .manifest_extents
+        .iter()
+        .flat_map(|&(start, len)| start..start + len)
+        .take(pages as usize);
+    for page_no in log_pages {
+        let mut page = device.read_page(page_no).unwrap();
+        if &page[..8] == b"BKLGMANI" {
+            assert_eq!(&page[8..12], &5u32.to_be_bytes());
+            page[8..12].copy_from_slice(&4u32.to_be_bytes());
+            device.write_page(page_no, &page).unwrap();
+            frames += 1;
+        }
+    }
+    assert!(frames >= 1);
+    let err = BacklogEngine::open(device.clone(), config()).unwrap_err();
+    assert!(matches!(err, BacklogError::Recovery { .. }), "{err}");
 }
 
 /// Acceptance: a delta CP's metadata work and write volume follow what
