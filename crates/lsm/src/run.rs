@@ -584,8 +584,8 @@ impl<R: Record> Drop for Run<R> {
 }
 
 /// A leaf page whose layout [`parse`](Leaf::parse) validated: the restart
-/// count matches the record count, and the restart offsets ascend from the
-/// first record byte and stay inside the record area.
+/// count matches the record count, the restart array fits the page, and
+/// the first restart is the first record byte.
 #[derive(Debug, Default)]
 struct Leaf {
     page: Vec<u8>,
@@ -649,31 +649,24 @@ impl Leaf {
             .checked_sub(RESTART_LEN * (restarts + 1))
             .filter(|&end| end >= PAGE_HEADER)
             .ok_or_else(|| corrupt(format!("{restarts} restart points overflow the page")))?;
-        // Restart 0 is the first record byte; each later one lies above its
-        // predecessor and below the restart array.
-        let array = page.get(area_end..area_end + RESTART_LEN * restarts);
-        let mut floor = PAGE_HEADER;
-        for (i, slot) in array
-            .unwrap_or_default()
-            .chunks_exact(RESTART_LEN)
-            .enumerate()
-        {
-            let at = usize::from(u16::from_be_bytes([slot[0], slot[1]]));
-            if at < floor || at >= area_end || (i == 0 && at != PAGE_HEADER) {
-                return Err(corrupt(format!(
-                    "restart {i} at byte {at} is not ascending inside the record area"
-                )));
-            }
-            floor = at + 1;
-        }
-        Ok(Leaf {
+        let leaf = Leaf {
             page,
             no,
             count,
             restarts,
             area_end,
             continues: flags & LEAF_CONTINUES != 0,
-        })
+        };
+        // Later restarts are checked where they are used: a lookup reads a
+        // restart record only inside the record area, and a cursor checks
+        // that the records before each restart end exactly where it begins.
+        if restarts > 0 && leaf.restart(0) != PAGE_HEADER {
+            return Err(corrupt(format!(
+                "restart 0 at byte {}, not at the first record",
+                leaf.restart(0)
+            )));
+        }
+        Ok(leaf)
     }
 
     /// The byte offset of restart point `i` (`usize::MAX` past the array).
@@ -691,7 +684,12 @@ impl Leaf {
         self.page
             .get(at..self.area_end)
             .and_then(|area| area.get(..len))
-            .ok_or_else(|| self.corrupt(format!("restart {i} runs past the record area")))
+            .filter(|_| at >= PAGE_HEADER)
+            .ok_or_else(|| {
+                self.corrupt(format!(
+                    "restart {i} at byte {at} is outside the record area"
+                ))
+            })
     }
 
     /// A cursor on the last restart point whose record's partition key is
